@@ -2,10 +2,14 @@
 // ordering strategies, must agree with the exact brute-force count on a
 // corpus of structurally diverse graphs. This is the paper's core
 // correctness claim (preprocessing never changes the triangle count, and
-// all seven kernel models count the same set), checked exhaustively.
+// all seven kernel models count the same set), checked exhaustively. The
+// same sweep pins every counter's modelled KernelStats to a committed digest.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -75,13 +79,81 @@ constexpr TcAlgorithm kAllAlgorithms[] = {
     TcAlgorithm::kBisson,              TcAlgorithm::kHu,
     TcAlgorithm::kPolak};
 
+/// FNV-1a over the bit pattern of every KernelStats field, in declaration
+/// order: any change to any modelled figure changes the digest.
+uint64_t FoldKernelStats(uint64_t digest, const KernelStats& k) {
+  const auto fold = [&digest](const auto& field) {
+    unsigned char bytes[sizeof(field)];
+    std::memcpy(bytes, &field, sizeof(field));
+    for (unsigned char byte : bytes) {
+      digest ^= byte;
+      digest *= 0x100000001b3ull;
+    }
+  };
+  fold(k.cycles);
+  fold(k.millis);
+  fold(k.num_blocks);
+  fold(k.supersteps);
+  fold(k.total_ops);
+  fold(k.total_transactions);
+  fold(k.total_shared_transactions);
+  fold(k.compute_cycles);
+  fold(k.memory_cycles);
+  fold(k.shared_cycles);
+  fold(k.sync_cycles);
+  fold(k.sm_utilization);
+  return digest;
+}
+
+/// The cost-model contract: per corpus graph (rows, Corpus() order) and
+/// counter (columns, kAllAlgorithms order), the FoldKernelStats digest of all
+/// 2 directions x 4 orderings. Refactors of the counters must reproduce every
+/// modelled figure bit for bit; a deliberate cost-model change regenerates
+/// this table (the failure message prints each new value).
+constexpr uint64_t kKernelStatsDigests[7][7] = {
+    // power-law
+    {0xc5385ebedd3234eb, 0xac79dc0101692418, 0x0e673fb64db5447b,
+     0x8f6454900228065e, 0xf7c71f9230d07941, 0x69d2c1387e48e17e,
+     0x74ba0745f1c905e0},
+    // uniform
+    {0x160b682d316c7ee3, 0x5887c87862f61ef3, 0xc0a984399b7fd6cf,
+     0xc6ed5a75bea5d1d2, 0xbabf30889881d2b4, 0x04223841ce5d8c59,
+     0x0381c16415c63f82},
+    // star
+    {0x8ed7a6dfd1ae5925, 0x2da18308990fac45, 0x8ed7a6dfd1ae5925,
+     0x8ed7a6dfd1ae5925, 0x82104fe5baf9d275, 0x3c81404f89a25125,
+     0x8ed7a6dfd1ae5925},
+    // clique-chain
+    {0x78099afa91f7da77, 0x3be1b1e21c73829f, 0x5673e1db173b2d07,
+     0x6c78ec4f1c6150fd, 0xf8d672e86395c385, 0xdf1bc7e1fec218d1,
+     0x0d75b062122535b9},
+    // empty
+    {0x9fa9e040e0eedf25, 0x9fa9e040e0eedf25, 0x9fa9e040e0eedf25,
+     0x9fa9e040e0eedf25, 0x9fa9e040e0eedf25, 0x9fa9e040e0eedf25,
+     0x9fa9e040e0eedf25},
+    // edgeless
+    {0x8ed7a6dfd1ae5925, 0x8ed7a6dfd1ae5925, 0x8ed7a6dfd1ae5925,
+     0x9fa9e040e0eedf25, 0x9fa9e040e0eedf25, 0x8ed7a6dfd1ae5925,
+     0x8ed7a6dfd1ae5925},
+    // single-edge
+    {0x8ed7a6dfd1ae5925, 0x1560f09d824bc075, 0x8ed7a6dfd1ae5925,
+     0x8ed7a6dfd1ae5925, 0xc4be713a5aafa065, 0x015a12844e5c44c5,
+     0x8ed7a6dfd1ae5925},
+};
+
 TEST(DifferentialTest, AllCountersAllStrategiesAgreeWithBruteForce) {
   const DeviceSpec spec = DeviceSpec::TitanXpLike();
-  for (const CorpusEntry& entry : Corpus()) {
+  const std::vector<CorpusEntry> corpus = Corpus();
+  ASSERT_EQ(corpus.size(), std::size(kKernelStatsDigests));
+  for (size_t e = 0; e < corpus.size(); ++e) {
+    const CorpusEntry& entry = corpus[e];
     const int64_t expected = CountTrianglesNodeIterator(entry.graph);
-    for (TcAlgorithm algorithm : kAllAlgorithms) {
+    for (size_t a = 0; a < std::size(kAllAlgorithms); ++a) {
+      const TcAlgorithm algorithm = kAllAlgorithms[a];
+      uint64_t digest = 0xcbf29ce484222325ull;
       for (DirectionStrategy direction :
            {DirectionStrategy::kIdBased, DirectionStrategy::kADirection}) {
+        // Fox under kAOrder takes the pipeline's edge-A-order path.
         for (OrderingStrategy ordering :
              {OrderingStrategy::kOriginal, OrderingStrategy::kAOrder,
               OrderingStrategy::kDegree, OrderingStrategy::kRandom}) {
@@ -94,8 +166,12 @@ TEST(DifferentialTest, AllCountersAllStrategiesAgreeWithBruteForce) {
           EXPECT_EQ(run.triangles, expected)
               << entry.name << " / " << ToString(algorithm) << " / "
               << ToString(direction) << " / " << ToString(ordering);
+          digest = FoldKernelStats(digest, run.kernel);
         }
       }
+      EXPECT_EQ(digest, kKernelStatsDigests[e][a])
+          << entry.name << " / " << ToString(algorithm) << ": KernelStats "
+          << "digest is 0x" << std::hex << digest;
     }
   }
 }
