@@ -29,8 +29,8 @@ struct RunResult {
 
 /// Preprocesses `g` per `options` and counts triangles with `algorithm` on
 /// the device `spec`. For Fox (edge reorder unit), an ordering of kAOrder is
-/// applied to *edges* (ComputeEdgeAOrder) instead of relabeling vertices,
-/// matching Section 6.4.
+/// applied to *edges* (FoxCounter::AOrderedEdgeOrder) instead of relabeling
+/// vertices, matching Section 6.4.
 RunResult RunTriangleCount(const Graph& g, TcAlgorithm algorithm,
                            const DeviceSpec& spec,
                            const PreprocessOptions& options = {});

@@ -1,7 +1,5 @@
 #include "core/preprocess.h"
 
-#include <numeric>
-
 #include <utility>
 
 #include "core/prep_cache.h"
@@ -158,35 +156,6 @@ StatusOr<PreprocessResult> MaterializePreprocess(const PrepArtifact& artifact,
   result.direction_ms = timer.ElapsedMillis();
   result.total_ms = result.direction_ms;
   return result;
-}
-
-std::vector<int64_t> ComputeEdgeAOrder(const DirectedGraph& g,
-                                       const ResourceModel& model,
-                                       int bucket_size,
-                                       const ExecContext* exec) {
-  // Each arc (u, v)'s resource profile is driven by the length of the list
-  // it searches, d~(u) — the direct analogue of a vertex's out-degree in
-  // vertex A-order (Section 6.4: "Memory intensive and computing intensive
-  // operations are defined analogous to Hu's implementation").
-  std::vector<EdgeCount> search_lengths;
-  search_lengths.reserve(static_cast<size_t>(g.num_edges()));
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    const EdgeCount du = g.out_degree(u);
-    for (EdgeCount i = 0; i < du; ++i) search_lengths.push_back(du);
-  }
-  GPUTC_CHECK_LE(search_lengths.size(),
-                 static_cast<size_t>(std::numeric_limits<VertexId>::max()))
-      << "edge A-order limited to 2^32 arcs";
-  AOrderOptions options;
-  options.bucket_size = bucket_size;
-  options.exec = exec;
-  const AOrderResult aorder = AOrder(search_lengths, model, options);
-  // aorder.perm maps arc index -> position; invert to a processing order.
-  std::vector<int64_t> order(search_lengths.size());
-  for (size_t arc = 0; arc < search_lengths.size(); ++arc) {
-    order[aorder.perm[arc]] = static_cast<int64_t>(arc);
-  }
-  return order;
 }
 
 }  // namespace gputc

@@ -71,15 +71,6 @@ StatusOr<PreprocessResult> TryPreprocess(const Graph& g,
                                          const PreprocessOptions& options,
                                          const ExecContext& ctx);
 
-/// Edge-unit A-order for Fox's algorithm (Section 6.4, Figure 15): balances
-/// per-arc search-list lengths across blocks. Returns the processing order
-/// of arc indices (CSR order in `g`). `exec` (optional, not owned) is polled
-/// during bucket packing.
-std::vector<int64_t> ComputeEdgeAOrder(const DirectedGraph& g,
-                                       const ResourceModel& model,
-                                       int bucket_size,
-                                       const ExecContext* exec = nullptr);
-
 }  // namespace gputc
 
 #endif  // GPUTC_CORE_PREPROCESS_H_

@@ -19,7 +19,7 @@ namespace gputc {
 class BissonCounter : public SimTriangleCounter {
  public:
   std::string name() const override { return "Bisson"; }
-  StatusOr<TcResult> TryCount(const DirectedGraph& g, const DeviceSpec& spec,
+  StatusOr<KernelStats> Price(const DirectedGraph& g, const DeviceSpec& spec,
                               const ExecContext& ctx) const override;
   bool uses_intra_block_sync() const override { return true; }
   bool uses_binary_search() const override { return false; }

@@ -94,4 +94,30 @@ ThreadWork SortMerge(int64_t len_a, int64_t len_b, const DeviceSpec& spec) {
   return w;
 }
 
+void ChargeWarpSearch(BlockCostModel& model, int warp, int64_t du, int64_t dv,
+                      const DeviceSpec& spec) {
+  const int lanes = spec.warp_size;
+  // Full chunks are identical, so they are charged in one shot.
+  const int64_t full_chunks = dv / lanes;
+  if (full_chunks > 0) {
+    ThreadWork chunk = CoalescedLoadLaneShare(lanes, lanes, spec);
+    chunk += WarpSearchLaneShare(du, lanes, spec);
+    const double n = static_cast<double>(full_chunks);
+    const ThreadWork lane_work{chunk.compute_ops * n,
+                               chunk.mem_transactions * n,
+                               chunk.shared_transactions * n};
+    for (int lane = 0; lane < lanes; ++lane) {
+      model.AddThreadWork(warp * lanes + lane, lane_work);
+    }
+  }
+  const int remainder = static_cast<int>(dv % lanes);
+  if (remainder > 0) {
+    ThreadWork lane_work = CoalescedLoadLaneShare(remainder, remainder, spec);
+    lane_work += WarpSearchLaneShare(du, remainder, spec);
+    for (int lane = 0; lane < remainder; ++lane) {
+      model.AddThreadWork(warp * lanes + lane, lane_work);
+    }
+  }
+}
+
 }  // namespace gputc

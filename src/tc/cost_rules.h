@@ -49,6 +49,13 @@ ThreadWork BitmapAccess(const DeviceSpec& spec);
 /// (Gunrock's merge path): linear compute, sequential reads.
 ThreadWork SortMerge(int64_t len_a, int64_t len_b, const DeviceSpec& spec);
 
+/// Charges warp `warp` of the open block for resolving one arc (u, v)
+/// cooperatively (TriCore, Fox's heavy bins): keys stream from N+(v) in
+/// coalesced chunks of warp_size, and every active lane binary searches its
+/// key in N+(u). `du`, `dv` are the out-degrees d~(u), d~(v).
+void ChargeWarpSearch(BlockCostModel& model, int warp, int64_t du, int64_t dv,
+                      const DeviceSpec& spec);
+
 }  // namespace gputc
 
 #endif  // GPUTC_TC_COST_RULES_H_

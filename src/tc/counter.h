@@ -2,7 +2,7 @@
 #define GPUTC_TC_COUNTER_H_
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -28,11 +28,14 @@ enum class ReorderUnit { kVertex, kEdge };
 
 /// Interface of the simulated GPU triangle counters.
 ///
-/// Implementations walk the directed graph on the host, computing the exact
-/// triangle count, while charging every primitive operation (searches,
+/// The paper's kernels differ only in how they spread work over blocks,
+/// warps and threads, never in which triangles they find. So counting and
+/// pricing are split: every counter takes its triangle count from the one
+/// exact host counter (TryCountTrianglesDirected), and implements only
+/// Price, a cost model that charges every primitive operation (searches,
 /// scans, bitmap probes, synchronizations) to the block cost model exactly
-/// as the corresponding CUDA kernel would distribute it over blocks, warps
-/// and threads. The returned KernelStats is the modelled kernel time.
+/// as the corresponding CUDA kernel would distribute it. The returned
+/// KernelStats is the modelled kernel time.
 ///
 /// The input graph must already be preprocessed: oriented by the desired
 /// direction strategy and relabeled by the desired ordering — blocks take
@@ -46,12 +49,17 @@ class SimTriangleCounter {
   virtual std::string name() const = 0;
 
   /// Counts triangles of `g` on the simulated device under the execution
-  /// envelope `ctx`. Implementations poll ctx at block granularity, so a
-  /// cancellation or deadline expiry is observed within one block's work;
-  /// a triangle accumulation past ctx.count_limit surfaces as OutOfRange.
-  /// Fail-point sites "tc.<algo>" (entry) and "tc.block" (per block) make
-  /// every counter fault-injectable.
-  virtual StatusOr<TcResult> TryCount(const DirectedGraph& g,
+  /// envelope `ctx`: passes the entry fail point "tc.<algo>", prices the
+  /// kernel (Price), then runs the exact count. A cancellation or deadline
+  /// expiry is observed within one block's work (or 256 vertices of the
+  /// exact count); a count past ctx.count_limit surfaces as OutOfRange.
+  StatusOr<TcResult> TryCount(const DirectedGraph& g, const DeviceSpec& spec,
+                              const ExecContext& ctx) const;
+
+  /// The modelled kernel cost of `g` on `spec`. It depends on degrees only,
+  /// never on which triangles exist. Polls `ctx` and passes the "tc.block"
+  /// fail point before every priced block (BlockSkeleton).
+  virtual StatusOr<KernelStats> Price(const DirectedGraph& g,
                                       const DeviceSpec& spec,
                                       const ExecContext& ctx) const = 0;
 
@@ -75,6 +83,17 @@ class SimTriangleCounter {
   virtual bool uses_binary_search() const = 0;
 
   virtual ReorderUnit reorder_unit() const { return ReorderUnit::kVertex; }
+
+ protected:
+  /// "tc." plus the lower-cased name() up to any "-variant" suffix: the
+  /// entry fail point, the span name and the site block polls report.
+  std::string site() const;
+
+  /// TryCount with `price` in place of Price: how Fox prices a caller's
+  /// edge order.
+  StatusOr<TcResult> TryCountPricedBy(
+      const DirectedGraph& g, const ExecContext& ctx,
+      const std::function<StatusOr<KernelStats>()>& price) const;
 };
 
 }  // namespace gputc

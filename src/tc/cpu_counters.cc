@@ -1,8 +1,6 @@
 #include "tc/cpu_counters.h"
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
+#include <cstdint>
 #include <vector>
 
 #include "direction/direction.h"
@@ -44,69 +42,50 @@ int64_t CountTrianglesEdgeIterator(const Graph& g) {
 }
 
 int64_t CountTrianglesForward(const Graph& g) {
-  const DirectedGraph d = Orient(g, DirectionStrategy::kDegreeBased);
-  return CountTrianglesDirected(d);
+  return CountTrianglesDirected(Orient(g, DirectionStrategy::kDegreeBased));
 }
 
 StatusOr<int64_t> TryCountTrianglesForward(const Graph& g,
                                            const ExecContext& ctx) {
   GPUTC_INJECT_FAULT("tc.cpu");
   Span span = StartSpan(ctx, "tc.cpu");
-  const DirectedGraph d = Orient(g, DirectionStrategy::kDegreeBased);
+  GPUTC_ASSIGN_OR_RETURN(
+      const int64_t triangles,
+      TryCountTrianglesDirected(Orient(g, DirectionStrategy::kDegreeBased),
+                                ctx));
+  span.SetAttr("triangles", triangles);
+  return triangles;
+}
+
+StatusOr<int64_t> TryCountTrianglesDirected(const DirectedGraph& g,
+                                            const ExecContext& ctx) {
   CheckedInt64 triangles(ctx.count_limit);
+  std::vector<uint8_t> marked(g.num_vertices(), 0);
   constexpr VertexId kPollStride = 256;
-  for (VertexId u = 0; u < d.num_vertices(); ++u) {
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
     if (u % kPollStride == 0) {
-      GPUTC_RETURN_IF_ERROR(ctx.CheckContinue("tc.cpu"));
+      GPUTC_RETURN_IF_ERROR(ctx.CheckContinue("tc.exact"));
     }
-    for (VertexId v : d.out_neighbors(u)) {
-      triangles.Add(
-          SortedIntersectionSize(d.out_neighbors(u), d.out_neighbors(v)));
+    // Mark N+(u); every marked w in some N+(v), v in N+(u), closes the
+    // wedge (u, v, w).
+    const auto out_u = g.out_neighbors(u);
+    for (VertexId w : out_u) marked[w] = 1;
+    int64_t closed = 0;
+    for (VertexId v : out_u) {
+      for (VertexId w : g.out_neighbors(v)) closed += marked[w];
     }
+    for (VertexId w : out_u) marked[w] = 0;
+    triangles.Add(closed);
   }
-  GPUTC_RETURN_IF_ERROR(triangles.ToStatus("forward triangle count"));
-  span.SetAttr("triangles", triangles.value());
+  GPUTC_RETURN_IF_ERROR(triangles.ToStatus("triangle count"));
   return triangles.value();
 }
 
 int64_t CountTrianglesDirected(const DirectedGraph& g) {
-  int64_t triangles = 0;
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    for (VertexId v : g.out_neighbors(u)) {
-      triangles +=
-          SortedIntersectionSize(g.out_neighbors(u), g.out_neighbors(v));
-    }
-  }
-  return triangles;
-}
-
-int64_t CountTrianglesParallel(const Graph& g, int num_threads) {
-  GPUTC_CHECK_GT(num_threads, 0);
-  const DirectedGraph d = Orient(g, DirectionStrategy::kDegreeBased);
-  std::atomic<int64_t> triangles{0};
-  std::vector<std::thread> workers;
-  const VertexId n = d.num_vertices();
-  std::atomic<VertexId> next{0};
-  constexpr VertexId kChunk = 256;
-  for (int t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&d, &triangles, &next, n] {
-      int64_t local = 0;
-      while (true) {
-        const VertexId start = next.fetch_add(kChunk);
-        if (start >= n) break;
-        const VertexId end = std::min<VertexId>(n, start + kChunk);
-        for (VertexId u = start; u < end; ++u) {
-          for (VertexId v : d.out_neighbors(u)) {
-            local += SortedIntersectionSize(d.out_neighbors(u),
-                                            d.out_neighbors(v));
-          }
-        }
-      }
-      triangles.fetch_add(local, std::memory_order_relaxed);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  return triangles.load();
+  StatusOr<int64_t> triangles = TryCountTrianglesDirected(g, ExecContext{});
+  GPUTC_CHECK(triangles.ok())
+      << "CountTrianglesDirected failed: " << triangles.status().ToString();
+  return *triangles;
 }
 
 }  // namespace gputc

@@ -11,8 +11,9 @@
 namespace gputc {
 
 // Exact host-side triangle counters (the CPU families of Section 2.2.1).
-// They are the correctness oracles for every simulated GPU kernel and the
-// serial baselines in the benches.
+// TryCountTrianglesDirected is the production counter: every simulated GPU
+// kernel and the executor's cpu stage take their count from it. Node- and
+// edge-iterator share no code with it, so they stay independent oracles.
 
 /// Node-iterator [Alon et al.]: for every vertex, test all neighbor pairs.
 /// O(sum d(v)^2). Exact.
@@ -22,24 +23,27 @@ int64_t CountTrianglesNodeIterator(const Graph& g);
 /// endpoint adjacency lists. O(sum over edges of d(u)+d(v)). Exact.
 int64_t CountTrianglesEdgeIterator(const Graph& g);
 
-/// Forward algorithm [Schank & Wagner]: orient by degree, intersect
-/// out-lists — the standard O(m^(3/2)) counter. Exact.
+/// Forward algorithm [Schank & Wagner]: orient by degree, then count the
+/// oriented graph with CountTrianglesDirected — the standard O(m^(3/2))
+/// counter. Exact.
 int64_t CountTrianglesForward(const Graph& g);
 
-/// Forward algorithm under an execution envelope: polls `ctx` every 256
-/// vertices, injects at fail point "tc.cpu", and counts with checked
-/// accumulation. The executor's last-resort fallback stage.
+/// Forward algorithm under an execution envelope: injects at fail point
+/// "tc.cpu", then runs TryCountTrianglesDirected. The executor's
+/// last-resort fallback stage.
 StatusOr<int64_t> TryCountTrianglesForward(const Graph& g,
                                            const ExecContext& ctx);
 
 /// Counts directed wedges closed by an arc on an oriented graph; with an
 /// acyclic orientation this equals the triangle count of the underlying
-/// undirected graph. Exact.
-int64_t CountTrianglesDirected(const DirectedGraph& g);
+/// undirected graph. Exact. For each u it marks N+(u) in an n-byte array
+/// and probes every N+(v), v in N+(u). Polls `ctx` every 256 vertices and
+/// accumulates with a check against ctx.count_limit (OutOfRange past it).
+StatusOr<int64_t> TryCountTrianglesDirected(const DirectedGraph& g,
+                                            const ExecContext& ctx);
 
-/// Multicore merge-based counter in the spirit of Shun & Tangwongsan:
-/// partitions vertices over `num_threads` std::threads. Exact.
-int64_t CountTrianglesParallel(const Graph& g, int num_threads);
+/// Unconstrained TryCountTrianglesDirected; CHECK-aborts on error.
+int64_t CountTrianglesDirected(const DirectedGraph& g);
 
 }  // namespace gputc
 

@@ -6,40 +6,17 @@
 #include <utility>
 #include <vector>
 
-#include "obs/trace.h"
 #include "order/aorder.h"
-#include "sim/block_cost.h"
-#include "sim/memory.h"
+#include "tc/block_skeleton.h"
 #include "tc/cost_rules.h"
-#include "tc/intersect.h"
-#include "util/checked_math.h"
-#include "util/failpoint.h"
 #include "util/logging.h"
 
 namespace gputc {
 namespace {
 
-struct Arc {
-  VertexId u;
-  VertexId v;
-};
-
-std::vector<Arc> CollectArcs(const DirectedGraph& g) {
-  std::vector<Arc> arcs;
-  arcs.reserve(static_cast<size_t>(g.num_edges()));
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    for (VertexId v : g.out_neighbors(u)) arcs.push_back(Arc{u, v});
-  }
-  return arcs;
-}
-
-int64_t WorkEstimate(const DirectedGraph& g, const Arc& arc) {
-  // Even an arc with no keys to search costs its setup; clamp to 1 so the
-  // lightest bin is well defined.
-  return std::max<int64_t>(
-      1, g.out_degree(arc.v) *
-             std::max(1, ProbesForBinarySearch(g.out_degree(arc.u))));
-}
+/// Bins whose arcs stream at least this many keys run one warp per arc.
+constexpr int64_t kWarpThreshold = 128;
+constexpr int kMaxBins = 48;
 
 int RadixBin(int64_t work) {
   int bin = 0;
@@ -50,36 +27,73 @@ int RadixBin(int64_t work) {
   return bin;
 }
 
-}  // namespace
-
-std::vector<int64_t> FoxCounter::ArcWorkEstimates(const DirectedGraph& g) {
-  const std::vector<Arc> arcs = CollectArcs(g);
-  std::vector<int64_t> work(arcs.size());
-  for (size_t i = 0; i < arcs.size(); ++i) work[i] = WorkEstimate(g, arcs[i]);
-  return work;
+/// One granularity per bin, a pure function of the bin's radix level (every
+/// arc in the bin streams ~2^level keys): cooperative warps once a warp's
+/// worth of keys amortizes.
+bool WarpPerArc(size_t bin) {
+  return (int64_t{1} << std::min<size_t>(bin, 62)) >= kWarpThreshold;
 }
+
+size_t TasksPerBlock(size_t bin, const DeviceSpec& spec) {
+  return static_cast<size_t>(WarpPerArc(bin) ? spec.warps_per_block
+                                             : spec.threads_per_block());
+}
+
+/// Stable log-radix binning of the arcs (CSR indices) in `order`. Arcs are
+/// binned by their work *volume* (keys streamed, d~(v)) — the quantity the
+/// adaptive granularity needs — while the searched-list length d~(u), which
+/// sets an arc's compute/memory character, still varies freely inside a
+/// bin. That residual diversity is exactly what an edge reordering can
+/// balance across blocks (Section 6.4 / Figure 15). An order that is not a
+/// permutation of the arcs is InvalidArgument.
+StatusOr<std::vector<std::vector<int64_t>>> RadixBins(
+    const DirectedGraph& g, const std::vector<int64_t>& order) {
+  const int64_t arcs = g.num_edges();
+  if (static_cast<int64_t>(order.size()) != arcs) {
+    return InvalidArgumentError(
+        "edge order has " + std::to_string(order.size()) +
+        " entries but the graph has " + std::to_string(arcs) + " arcs");
+  }
+  std::vector<bool> seen(static_cast<size_t>(arcs));
+  std::vector<std::vector<int64_t>> bins(kMaxBins);
+  for (int64_t pos : order) {
+    if (pos < 0 || pos >= arcs) {
+      return InvalidArgumentError("edge order entry " + std::to_string(pos) +
+                                  " is outside [0, " + std::to_string(arcs) +
+                                  ")");
+    }
+    if (seen[static_cast<size_t>(pos)]) {
+      return InvalidArgumentError("edge order entry " + std::to_string(pos) +
+                                  " appears more than once");
+    }
+    seen[static_cast<size_t>(pos)] = true;
+    const int64_t volume =
+        g.out_degree(g.adjacency()[static_cast<size_t>(pos)]) + 1;
+    bins[static_cast<size_t>(std::min(kMaxBins - 1, RadixBin(volume)))]
+        .push_back(pos);
+  }
+  return bins;
+}
+
+std::vector<int64_t> CsrOrder(const DirectedGraph& g) {
+  std::vector<int64_t> order(static_cast<size_t>(g.num_edges()));
+  std::iota(order.begin(), order.end(), int64_t{0});
+  return order;
+}
+
+}  // namespace
 
 std::vector<int64_t> FoxCounter::AOrderedEdgeOrder(
     const DirectedGraph& g, const ResourceModel& model,
     const DeviceSpec& spec) const {
-  const std::vector<Arc> arcs = CollectArcs(g);
-  constexpr int kMaxBins = 48;
-  std::vector<std::vector<int64_t>> bins(kMaxBins);
-  for (int64_t pos = 0; pos < static_cast<int64_t>(arcs.size()); ++pos) {
-    const int64_t volume = g.out_degree(arcs[static_cast<size_t>(pos)].v) + 1;
-    bins[static_cast<size_t>(std::min(kMaxBins - 1, RadixBin(volume)))]
-        .push_back(pos);
-  }
+  const std::vector<VertexId> sources = ArcSources(g);
+  const std::vector<std::vector<int64_t>> bins = *RadixBins(g, CsrOrder(g));
   std::vector<int64_t> order;
-  order.reserve(arcs.size());
-  for (size_t bin_idx = 0; bin_idx < bins.size(); ++bin_idx) {
-    const auto& bin = bins[bin_idx];
-    if (bin.empty()) continue;
-    const bool warp_per_arc =
-        (int64_t{1} << std::min<size_t>(bin_idx, 62)) >= warp_threshold_;
-    const int tasks_per_block =
-        warp_per_arc ? spec.warps_per_block : spec.threads_per_block();
-    if (bin.size() <= static_cast<size_t>(tasks_per_block)) {
+  order.reserve(sources.size());
+  for (size_t b = 0; b < bins.size(); ++b) {
+    const std::vector<int64_t>& bin = bins[b];
+    const size_t tasks_per_block = TasksPerBlock(b, spec);
+    if (bin.size() <= tasks_per_block) {
       order.insert(order.end(), bin.begin(), bin.end());
       continue;
     }
@@ -87,11 +101,10 @@ std::vector<int64_t> FoxCounter::AOrderedEdgeOrder(
     // tasks) gets a balanced mix of searched-list lengths.
     std::vector<EdgeCount> search_lengths(bin.size());
     for (size_t i = 0; i < bin.size(); ++i) {
-      search_lengths[i] =
-          g.out_degree(arcs[static_cast<size_t>(bin[i])].u);
+      search_lengths[i] = g.out_degree(sources[static_cast<size_t>(bin[i])]);
     }
     AOrderOptions options;
-    options.bucket_size = tasks_per_block;
+    options.bucket_size = static_cast<int>(tasks_per_block);
     const AOrderResult packed = AOrder(search_lengths, model, options);
     std::vector<int64_t> bin_order(bin.size());
     for (size_t i = 0; i < bin.size(); ++i) {
@@ -102,12 +115,10 @@ std::vector<int64_t> FoxCounter::AOrderedEdgeOrder(
   return order;
 }
 
-StatusOr<TcResult> FoxCounter::TryCount(const DirectedGraph& g,
+StatusOr<KernelStats> FoxCounter::Price(const DirectedGraph& g,
                                         const DeviceSpec& spec,
                                         const ExecContext& ctx) const {
-  std::vector<int64_t> identity(static_cast<size_t>(g.num_edges()));
-  std::iota(identity.begin(), identity.end(), int64_t{0});
-  return TryCountWithEdgeOrder(g, spec, identity, ctx);
+  return PriceInOrder(g, spec, CsrOrder(g), ctx);
 }
 
 TcResult FoxCounter::CountWithEdgeOrder(
@@ -123,103 +134,43 @@ TcResult FoxCounter::CountWithEdgeOrder(
 StatusOr<TcResult> FoxCounter::TryCountWithEdgeOrder(
     const DirectedGraph& g, const DeviceSpec& spec,
     const std::vector<int64_t>& edge_order, const ExecContext& ctx) const {
-  GPUTC_INJECT_FAULT("tc.fox");
-  const std::vector<Arc> arcs = CollectArcs(g);
-  if (edge_order.size() != arcs.size()) {
-    return InvalidArgumentError(
-        "edge order has " + std::to_string(edge_order.size()) +
-        " entries but the graph has " + std::to_string(arcs.size()) + " arcs");
-  }
-  Span span = StartSpan(ctx, "tc.fox");
-  TcResult result;
-  CheckedInt64 triangles(ctx.count_limit);
-  const int lanes = spec.warp_size;
+  return TryCountPricedBy(
+      g, ctx, [&] { return PriceInOrder(g, spec, edge_order, ctx); });
+}
 
-  // Stable log-radix binning in the caller's order. Arcs are binned by
-  // their work *volume* (keys streamed, d~(v)) — the quantity the adaptive
-  // granularity needs — while the searched-list length d~(u), which sets an
-  // arc's compute/memory character, still varies freely inside a bin.
-  // That residual diversity is exactly what an edge reordering can balance
-  // across blocks (Section 6.4 / Figure 15).
-  constexpr int kMaxBins = 48;
-  std::vector<std::vector<int64_t>> bins(kMaxBins);
-  for (int64_t pos : edge_order) {
-    if (pos < 0 || pos >= static_cast<int64_t>(arcs.size())) {
-      return InvalidArgumentError("edge order entry " + std::to_string(pos) +
-                                  " is outside [0, " +
-                                  std::to_string(arcs.size()) + ")");
-    }
-    const int64_t volume =
-        g.out_degree(arcs[static_cast<size_t>(pos)].v) + 1;
-    bins[static_cast<size_t>(std::min(kMaxBins - 1, RadixBin(volume)))]
-        .push_back(pos);
-  }
-
-  std::vector<BlockCost> blocks;
-  BlockCostModel model(spec);
-  for (size_t bin_idx = 0; bin_idx < bins.size(); ++bin_idx) {
-    const auto& bin = bins[bin_idx];
-    if (bin.empty()) continue;
-    // One granularity per bin, a pure function of the bin's radix level
-    // (every arc in the bin streams ~2^level keys): cooperative warps once
-    // a warp's worth of keys amortizes.
-    const bool warp_per_arc =
-        (int64_t{1} << std::min<size_t>(bin_idx, 62)) >= warp_threshold_;
-    const size_t tasks_per_block =
-        warp_per_arc ? static_cast<size_t>(spec.warps_per_block)
-                     : static_cast<size_t>(spec.threads_per_block());
+StatusOr<KernelStats> FoxCounter::PriceInOrder(
+    const DirectedGraph& g, const DeviceSpec& spec,
+    const std::vector<int64_t>& edge_order, const ExecContext& ctx) const {
+  GPUTC_ASSIGN_OR_RETURN(const std::vector<std::vector<int64_t>> bins,
+                         RadixBins(g, edge_order));
+  const std::vector<VertexId> sources = ArcSources(g);
+  BlockSkeleton skeleton(spec, ctx, site());
+  for (size_t b = 0; b < bins.size(); ++b) {
+    const std::vector<int64_t>& bin = bins[b];
+    const bool warp_per_arc = WarpPerArc(b);
+    const size_t tasks_per_block = TasksPerBlock(b, spec);
     for (size_t block_start = 0; block_start < bin.size();
          block_start += tasks_per_block) {
-      GPUTC_RETURN_IF_ERROR(ctx.CheckContinue("tc.fox"));
-      GPUTC_INJECT_FAULT("tc.block");
-      model.BeginBlock();
       const size_t block_end =
           std::min(bin.size(), block_start + tasks_per_block);
-      for (size_t i = block_start; i < block_end; ++i) {
-        const Arc arc = arcs[static_cast<size_t>(bin[i])];
-        const int64_t du = g.out_degree(arc.u);
-        const int64_t dv = g.out_degree(arc.v);
-        const int task = static_cast<int>(i - block_start);
-        if (warp_per_arc) {
-          // Lanes cooperate exactly like TriCore's warp search.
-          const int64_t full_chunks = dv / lanes;
-          if (full_chunks > 0) {
-            ThreadWork chunk = CoalescedLoadLaneShare(lanes, lanes, spec);
-            chunk += WarpSearchLaneShare(du, lanes, spec);
-            const ThreadWork lane_work{
-                chunk.compute_ops * static_cast<double>(full_chunks),
-                chunk.mem_transactions * static_cast<double>(full_chunks)};
-            for (int lane = 0; lane < lanes; ++lane) {
-              model.AddThreadWork(task * lanes + lane, lane_work);
-            }
+      GPUTC_RETURN_IF_ERROR(skeleton.AddBlock([&](BlockCostModel& model) {
+        for (size_t i = block_start; i < block_end; ++i) {
+          const size_t pos = static_cast<size_t>(bin[i]);
+          const int64_t du = g.out_degree(sources[pos]);
+          const int64_t dv = g.out_degree(g.adjacency()[pos]);
+          const int task = static_cast<int>(i - block_start);
+          if (warp_per_arc) {
+            ChargeWarpSearch(model, task, du, dv, spec);
+          } else {
+            ThreadWork work = SequentialScan(dv, spec);
+            work += BinarySearchBatch(dv, du, /*shared=*/false, spec);
+            model.AddThreadWork(task, work);
           }
-          const int remainder = static_cast<int>(dv % lanes);
-          if (remainder > 0) {
-            ThreadWork lane_work =
-                CoalescedLoadLaneShare(remainder, remainder, spec);
-            lane_work += WarpSearchLaneShare(du, remainder, spec);
-            for (int lane = 0; lane < remainder; ++lane) {
-              model.AddThreadWork(task * lanes + lane, lane_work);
-            }
-          }
-        } else {
-          ThreadWork work = SequentialScan(dv, spec);
-          work += BinarySearchBatch(dv, du, /*shared=*/false, spec);
-          model.AddThreadWork(task, work);
         }
-        triangles.Add(SortedIntersectionSize(g.out_neighbors(arc.u),
-                                             g.out_neighbors(arc.v)));
-      }
-      blocks.push_back(model.Finish());
+      }));
     }
   }
-
-  GPUTC_RETURN_IF_ERROR(triangles.ToStatus("Fox triangle count"));
-  result.triangles = triangles.value();
-  result.kernel = KernelLauncher(spec).Launch(blocks);
-  span.SetAttr("triangles", result.triangles);
-  span.SetAttr("blocks", static_cast<int64_t>(blocks.size()));
-  return result;
+  return skeleton.Launch();
 }
 
 }  // namespace gputc

@@ -12,23 +12,19 @@ namespace gputc {
 /// Fox / Green et al. (HPEC 2018): adaptive list intersection with
 /// logarithmic radix binning.
 ///
-/// Every arc's work is estimated as d~(v) * log2(d~(u)); arcs are stably
-/// partitioned into log-radix bins and each bin is executed with a matching
-/// granularity — one thread per arc for light bins, one warp per arc (lanes
-/// cooperate on the searches) for heavy bins. Blocks take consecutive tasks
-/// within a bin, so the *edge order* determines each block's work set: this
-/// is the algorithm the paper reorders edges (not vertices) for
-/// (Section 6.4, Figure 15).
+/// Arcs are stably partitioned into log-radix bins by the number of keys
+/// they stream, d~(v), and each bin is executed with a matching granularity
+/// — one thread per arc for light bins, one warp per arc (lanes cooperate on
+/// the searches) once a bin streams 128 keys or more. Blocks take
+/// consecutive tasks within a bin, so the *edge order* determines each
+/// block's work set: this is the algorithm the paper reorders edges (not
+/// vertices) for (Section 6.4, Figure 15).
 class FoxCounter : public SimTriangleCounter {
  public:
-  /// Arcs whose cooperative work estimate is at least this use a warp.
-  explicit FoxCounter(int64_t warp_threshold = 128)
-      : warp_threshold_(warp_threshold) {}
-
   std::string name() const override { return "Fox"; }
 
-  /// Counts with arcs in CSR order.
-  StatusOr<TcResult> TryCount(const DirectedGraph& g, const DeviceSpec& spec,
+  /// Prices with arcs in CSR order.
+  StatusOr<KernelStats> Price(const DirectedGraph& g, const DeviceSpec& spec,
                               const ExecContext& ctx) const override;
 
   /// Counts with arcs processed in `edge_order` (a permutation of arc
@@ -48,10 +44,6 @@ class FoxCounter : public SimTriangleCounter {
   bool uses_binary_search() const override { return true; }
   ReorderUnit reorder_unit() const override { return ReorderUnit::kEdge; }
 
-  /// The per-arc work estimates (d~(v) * probes(d~(u))) in CSR arc order;
-  /// the quantity edge-A-order balances. Exposed for the Figure 15 bench.
-  static std::vector<int64_t> ArcWorkEstimates(const DirectedGraph& g);
-
   /// Edge-unit A-order matched to this kernel's structure: within each work
   /// bin (whose blocks the kernel forms from consecutive arcs), arcs are
   /// packed by Algorithm 2 keyed on their searched-list length d~(u), so
@@ -62,7 +54,10 @@ class FoxCounter : public SimTriangleCounter {
                                          const DeviceSpec& spec) const;
 
  private:
-  int64_t warp_threshold_;
+  StatusOr<KernelStats> PriceInOrder(const DirectedGraph& g,
+                                     const DeviceSpec& spec,
+                                     const std::vector<int64_t>& edge_order,
+                                     const ExecContext& ctx) const;
 };
 
 }  // namespace gputc

@@ -1,73 +1,36 @@
 #include "tc/gunrock.h"
 
 #include <algorithm>
-#include <vector>
 
-#include "obs/trace.h"
-#include "sim/block_cost.h"
+#include "tc/block_skeleton.h"
 #include "tc/cost_rules.h"
-#include "tc/intersect.h"
-#include "tc/work_partition.h"
-#include "util/checked_math.h"
-#include "util/failpoint.h"
 
 namespace gputc {
 
-StatusOr<TcResult> GunrockCounter::TryCount(const DirectedGraph& g,
+StatusOr<KernelStats> GunrockCounter::Price(const DirectedGraph& g,
                                             const DeviceSpec& spec,
                                             const ExecContext& ctx) const {
-  GPUTC_INJECT_FAULT("tc.gunrock");
-  Span span = StartSpan(ctx, "tc.gunrock");
-  span.SetAttr("intersect", strategy_ == IntersectStrategy::kBinarySearch
-                                ? "binary-search"
-                                : "sort-merge");
-  TcResult result;
-  CheckedInt64 triangles(ctx.count_limit);
   const int threads = spec.threads_per_block();
-
-  const std::vector<VertexId> sources = ArcSources(g);
-  const std::vector<ArcRange> blocks_arcs =
-      VertexBucketArcRanges(g, spec.threads_per_block());
-
-  std::vector<BlockCost> blocks;
-  blocks.reserve(blocks_arcs.size());
-  BlockCostModel model(spec);
-  for (const ArcRange& range : blocks_arcs) {
-    if (range.size() == 0) {
-      blocks.push_back(BlockCost{});
-      continue;
-    }
-    GPUTC_RETURN_IF_ERROR(ctx.CheckContinue("tc.gunrock"));
-    GPUTC_INJECT_FAULT("tc.block");
-    model.BeginBlock();
-    for (int64_t i = range.begin; i < range.end; ++i) {
-      const VertexId u = sources[static_cast<size_t>(i)];
-      const VertexId v = g.adjacency()[static_cast<size_t>(i)];
-      int64_t shorter = g.out_degree(u);
-      int64_t longer = g.out_degree(v);
-      if (shorter > longer) std::swap(shorter, longer);
-      ThreadWork work;
-      if (strategy_ == IntersectStrategy::kBinarySearch) {
-        // Stream the shorter list, search each key in the longer one.
-        work = SequentialScan(shorter, spec);
-        work += BinarySearchBatch(shorter, longer, /*shared=*/false, spec);
-      } else {
-        work = SortMerge(g.out_degree(u), g.out_degree(v), spec);
-      }
-      model.AddThreadWork(static_cast<int>((i - range.begin) % threads), work);
-
-      triangles.Add(
-          SortedIntersectionSize(g.out_neighbors(u), g.out_neighbors(v)));
-    }
-    blocks.push_back(model.Finish());
-  }
-
-  GPUTC_RETURN_IF_ERROR(triangles.ToStatus("Gunrock triangle count"));
-  result.triangles = triangles.value();
-  result.kernel = KernelLauncher(spec).Launch(blocks);
-  span.SetAttr("triangles", result.triangles);
-  span.SetAttr("blocks", static_cast<int64_t>(blocks.size()));
-  return result;
+  return PriceVertexBuckets(
+      g, spec, ctx, site(),
+      [&](BlockCostModel& model, const ArcRange& arcs, SourceCursor source) {
+        for (int64_t i = arcs.begin; i < arcs.end; ++i) {
+          const int64_t du = g.out_degree(source(i));
+          const int64_t dv = g.out_degree(g.adjacency()[i]);
+          ThreadWork work;
+          if (strategy_ == IntersectStrategy::kBinarySearch) {
+            // Stream the shorter list, search each key in the longer one.
+            const int64_t shorter = std::min(du, dv);
+            work = SequentialScan(shorter, spec);
+            work += BinarySearchBatch(shorter, std::max(du, dv),
+                                      /*shared=*/false, spec);
+          } else {
+            work = SortMerge(du, dv, spec);
+          }
+          model.AddThreadWork(static_cast<int>((i - arcs.begin) % threads),
+                              work);
+        }
+      });
 }
 
 }  // namespace gputc

@@ -27,14 +27,12 @@ class GunrockCounter : public SimTriangleCounter {
     return strategy_ == IntersectStrategy::kBinarySearch ? "Gunrock-bs"
                                                          : "Gunrock-sm";
   }
-  StatusOr<TcResult> TryCount(const DirectedGraph& g, const DeviceSpec& spec,
+  StatusOr<KernelStats> Price(const DirectedGraph& g, const DeviceSpec& spec,
                               const ExecContext& ctx) const override;
   bool uses_intra_block_sync() const override { return false; }
   bool uses_binary_search() const override {
     return strategy_ == IntersectStrategy::kBinarySearch;
   }
-
-  IntersectStrategy strategy() const { return strategy_; }
 
  private:
   IntersectStrategy strategy_;

@@ -23,29 +23,16 @@ namespace gputc {
 /// mix inside a block) while making host simulation O(|arcs| + |wedges|)
 /// instead of per-wedge event processing.
 ///
-/// Each block owns the arcs of `vertices_per_block` consecutive vertex ids
-/// (the paper's bucket B_i), so the vertex ordering fully determines both a
-/// block's load and its resource mix.
+/// Each block owns the arcs of threads_per_block consecutive vertex ids (the
+/// paper's bucket B_i, the same bucket size A-order packs), so the vertex
+/// ordering fully determines both a block's load and its resource mix.
 class HuCounter : public SimTriangleCounter {
  public:
-  /// `vertices_per_block` <= 0 uses the device's threads_per_block — the
-  /// same default bucket size A-order packs.
-  explicit HuCounter(int vertices_per_block = 0)
-      : vertices_per_block_(vertices_per_block) {}
-
   std::string name() const override { return "Hu"; }
-  StatusOr<TcResult> TryCount(const DirectedGraph& g, const DeviceSpec& spec,
+  StatusOr<KernelStats> Price(const DirectedGraph& g, const DeviceSpec& spec,
                               const ExecContext& ctx) const override;
   bool uses_intra_block_sync() const override { return true; }
   bool uses_binary_search() const override { return true; }
-
- private:
-  int vertices_per_block(const DeviceSpec& spec) const {
-    return vertices_per_block_ > 0 ? vertices_per_block_
-                                   : spec.threads_per_block();
-  }
-
-  int vertices_per_block_;
 };
 
 }  // namespace gputc

@@ -9,8 +9,9 @@
 namespace gputc {
 
 /// Size of the intersection of two sorted id spans (merge). Exact; used by
-/// every counter as the host-side ground truth while the simulator charges
-/// the algorithm-specific access pattern.
+/// the edge-iterator oracle and the apps (k-truss support, common
+/// neighbours). Directed triangle counts come from TryCountTrianglesDirected
+/// instead, so this oracle shares no code with the production counter.
 inline int64_t SortedIntersectionSize(std::span<const VertexId> a,
                                       std::span<const VertexId> b) {
   int64_t count = 0;

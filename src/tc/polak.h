@@ -14,7 +14,7 @@ namespace gputc {
 class PolakCounter : public SimTriangleCounter {
  public:
   std::string name() const override { return "Polak"; }
-  StatusOr<TcResult> TryCount(const DirectedGraph& g, const DeviceSpec& spec,
+  StatusOr<KernelStats> Price(const DirectedGraph& g, const DeviceSpec& spec,
                               const ExecContext& ctx) const override;
   bool uses_intra_block_sync() const override { return false; }
   bool uses_binary_search() const override { return true; }

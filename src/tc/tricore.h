@@ -30,7 +30,7 @@ class TriCoreCounter : public SimTriangleCounter {
     return strategy_ == IntersectStrategy::kBinarySearch ? "TriCore-bs"
                                                          : "TriCore-sm";
   }
-  StatusOr<TcResult> TryCount(const DirectedGraph& g, const DeviceSpec& spec,
+  StatusOr<KernelStats> Price(const DirectedGraph& g, const DeviceSpec& spec,
                               const ExecContext& ctx) const override;
   bool uses_intra_block_sync() const override { return false; }
   bool uses_binary_search() const override {

@@ -40,8 +40,27 @@ inline std::vector<ArcRange> VertexBucketArcRanges(const DirectedGraph& g,
   return ranges;
 }
 
-/// The arc's source vertex for each CSR arc index (helper for kernels that
-/// walk flat arc ranges).
+/// Source vertex of CSR arcs asked for in nondecreasing index order, starting
+/// from vertex `first` (at or before the first arc's source). It steps past
+/// vertices whose arcs end at or before the arc, so walking a block's arcs
+/// costs O(arcs + vertices) and needs no per-arc source array.
+class SourceCursor {
+ public:
+  SourceCursor(const DirectedGraph& g, VertexId first)
+      : offsets_(g.offsets().data()), u_(first) {}
+
+  VertexId operator()(int64_t arc) {
+    while (offsets_[u_ + 1] <= arc) ++u_;
+    return u_;
+  }
+
+ private:
+  const EdgeCount* offsets_;
+  VertexId u_;
+};
+
+/// The arc's source vertex for each CSR arc index, for kernels that visit
+/// arcs in an arbitrary order (Fox's edge orders).
 inline std::vector<VertexId> ArcSources(const DirectedGraph& g) {
   std::vector<VertexId> sources(static_cast<size_t>(g.num_edges()));
   for (VertexId u = 0; u < g.num_vertices(); ++u) {

@@ -51,7 +51,7 @@ TEST(PreprocessTest, BucketSizeDefaultsToBlockThreads) {
 
 TEST(RunTriangleCountTest, MatchesCpuAcrossAlgorithms) {
   const Graph g = LoadDataset("email-Eucore");
-  const int64_t expected = CountTrianglesForward(g);
+  const int64_t expected = CountTrianglesNodeIterator(g);
   const DeviceSpec spec = DeviceSpec::TitanXpLike();
   for (TcAlgorithm algorithm : PaperAlgorithms()) {
     const RunResult r = RunTriangleCount(g, algorithm, spec);
@@ -71,7 +71,7 @@ TEST(RunTriangleCountTest, FoxUsesEdgeReordering) {
       RunTriangleCount(g, TcAlgorithm::kFox, DeviceSpec::TitanXpLike(), options);
   EXPECT_EQ(r.preprocess.vertex_perm,
             IdentityPermutation(g.num_vertices()));
-  EXPECT_EQ(r.triangles, CountTrianglesForward(g));
+  EXPECT_EQ(r.triangles, CountTrianglesNodeIterator(g));
   EXPECT_GT(r.preprocess.ordering_ms, 0.0);
 }
 

@@ -23,7 +23,7 @@ class CrossDeviceTest : public ::testing::TestWithParam<DeviceSpec> {
 
 TEST_P(CrossDeviceTest, CountsStayExactEverywhere) {
   const DeviceSpec spec = GetParam();
-  const int64_t expected = CountTrianglesForward(graph_);
+  const int64_t expected = CountTrianglesEdgeIterator(graph_);
   for (TcAlgorithm algorithm : PaperAlgorithms()) {
     EXPECT_EQ(RunTriangleCount(graph_, algorithm, spec).triangles, expected)
         << ToString(algorithm);

@@ -47,7 +47,7 @@ class ExecutorTest : public ::testing::Test {
   }
 
   const Graph g_ = GeneratePowerLawConfiguration(400, 2.1, 2, 60, 71);
-  const int64_t expected_ = CountTrianglesForward(g_);
+  const int64_t expected_ = CountTrianglesNodeIterator(g_);
   const DeviceSpec spec_ = DeviceSpec::TitanXpLike();
 };
 

@@ -74,7 +74,7 @@ TEST_P(FuzzTest, CostIsOrientationBounded) {
 
 TEST_P(FuzzTest, CountInvariantAcrossWholePipeline) {
   const Graph g = MakeGraph(GetParam());
-  const int64_t expected = CountTrianglesForward(g);
+  const int64_t expected = CountTrianglesNodeIterator(g);
   const DeviceSpec spec = DeviceSpec::TitanXpLike();
   PreprocessOptions options;  // A-direction + A-order.
   for (TcAlgorithm algorithm :

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "graph/datasets.h"
+#include "direction/direction.h"
 #include "graph/generators.h"
 #include "tc/cpu_counters.h"
 
@@ -11,7 +11,6 @@ TEST(CpuCountersTest, KnownFixtureCounts) {
   EXPECT_EQ(CountTrianglesNodeIterator(CompleteGraph(5)), 10);
   EXPECT_EQ(CountTrianglesEdgeIterator(CompleteGraph(5)), 10);
   EXPECT_EQ(CountTrianglesForward(CompleteGraph(5)), 10);
-  EXPECT_EQ(CountTrianglesParallel(CompleteGraph(5), 2), 10);
 
   EXPECT_EQ(CountTrianglesNodeIterator(WheelGraph(8)), 7);
   EXPECT_EQ(CountTrianglesEdgeIterator(CycleGraph(10)), 0);
@@ -22,7 +21,7 @@ TEST(CpuCountersTest, EmptyAndTinyGraphs) {
   EXPECT_EQ(CountTrianglesNodeIterator(empty), 0);
   EXPECT_EQ(CountTrianglesEdgeIterator(empty), 0);
   EXPECT_EQ(CountTrianglesForward(empty), 0);
-  EXPECT_EQ(CountTrianglesParallel(PathGraph(2), 4), 0);
+  EXPECT_EQ(CountTrianglesForward(PathGraph(2)), 0);
 }
 
 class CpuAgreementTest : public ::testing::TestWithParam<uint64_t> {};
@@ -36,7 +35,12 @@ TEST_P(CpuAgreementTest, AllCountersAgreeOnRandomGraphs) {
     const int64_t expected = CountTrianglesNodeIterator(g);
     EXPECT_EQ(CountTrianglesEdgeIterator(g), expected);
     EXPECT_EQ(CountTrianglesForward(g), expected);
-    EXPECT_EQ(CountTrianglesParallel(g, 3), expected);
+    // The exact counter is orientation-agnostic: any acyclic orientation
+    // sees each triangle exactly once.
+    for (DirectionStrategy direction : AllDirectionStrategies()) {
+      EXPECT_EQ(CountTrianglesDirected(Orient(g, direction, seed)), expected)
+          << ToString(direction);
+    }
   }
 }
 
@@ -50,12 +54,22 @@ TEST(CpuCountersTest, DenseSmallWorldHasManyTriangles) {
   EXPECT_GT(CountTrianglesForward(g), 900);
 }
 
-TEST(CpuCountersTest, ParallelMatchesSerialOnDataset) {
-  const Graph g = LoadDataset("email-Eucore");
-  const int64_t serial = CountTrianglesForward(g);
-  EXPECT_GT(serial, 0);
-  EXPECT_EQ(CountTrianglesParallel(g, 4), serial);
-  EXPECT_EQ(CountTrianglesParallel(g, 1), serial);
+TEST(CpuCountersTest, DirectedCounterHonoursTheExecutionEnvelope) {
+  const DirectedGraph d =
+      Orient(CompleteGraph(12), DirectionStrategy::kDegreeBased);
+  ExecContext limited;
+  limited.count_limit = 219;  // K12 has 220 triangles.
+  EXPECT_EQ(TryCountTrianglesDirected(d, limited).status().code(),
+            StatusCode::kOutOfRange);
+  limited.count_limit = 220;
+  const StatusOr<int64_t> exact = TryCountTrianglesDirected(d, limited);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(*exact, 220);
+
+  ExecContext cancelled;
+  cancelled.cancel.Cancel("stop");
+  EXPECT_EQ(TryCountTrianglesDirected(d, cancelled).status().code(),
+            StatusCode::kCancelled);
 }
 
 }  // namespace

@@ -120,12 +120,31 @@ TEST(FoxEdgeOrderTest, ArbitraryEdgeOrderKeepsCountExact) {
       expected);
 }
 
-TEST(FoxEdgeOrderTest, WorkEstimatesMatchArcCount) {
-  const Graph g = GenerateErdosRenyi(200, 800, 9);
-  const DirectedGraph d = Orient(g, DirectionStrategy::kIdBased);
-  const auto work = FoxCounter::ArcWorkEstimates(d);
-  EXPECT_EQ(work.size(), static_cast<size_t>(d.num_edges()));
-  for (int64_t w : work) EXPECT_GT(w, 0);
+TEST(FoxEdgeOrderTest, OrdersThatAreNotPermutationsAreRejected) {
+  // K6 under ID orientation: 15 arcs, 20 triangles.
+  const DirectedGraph d = Orient(CompleteGraph(6), DirectionStrategy::kIdBased);
+  const DeviceSpec spec = DeviceSpec::TitanXpLike();
+  const FoxCounter fox;
+  std::vector<int64_t> order(static_cast<size_t>(d.num_edges()));
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
+
+  std::vector<int64_t> duplicate = order;
+  duplicate[1] = 0;  // [0, 0, 2, 3, ...]: arc 1 is never processed.
+  EXPECT_EQ(
+      fox.TryCountWithEdgeOrder(d, spec, duplicate, ExecContext{}).status().code(),
+      StatusCode::kInvalidArgument);
+
+  std::vector<int64_t> out_of_range = order;
+  out_of_range.back() = d.num_edges();
+  EXPECT_EQ(fox.TryCountWithEdgeOrder(d, spec, out_of_range, ExecContext{})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  order.pop_back();
+  EXPECT_EQ(
+      fox.TryCountWithEdgeOrder(d, spec, order, ExecContext{}).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(GunrockVariantsTest, BothStrategiesAgreeOnCount) {

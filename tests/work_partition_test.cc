@@ -53,6 +53,23 @@ TEST(WorkPartitionTest, ArcSourcesMatchCsr) {
   }
 }
 
+TEST(WorkPartitionTest, SourceCursorMatchesArcSourcesInEveryBucket) {
+  // Power-law degrees leave many out-degree-0 vertices for the cursor to
+  // step over, including at bucket boundaries.
+  const Graph g = GeneratePowerLawConfiguration(300, 2.0, 1, 60, 84);
+  const DirectedGraph d = Orient(g, DirectionStrategy::kADirection);
+  const auto sources = ArcSources(d);
+  constexpr int kBucket = 16;
+  VertexId first = 0;
+  for (const ArcRange& r : VertexBucketArcRanges(d, kBucket)) {
+    SourceCursor cursor(d, first);
+    for (int64_t i = r.begin; i < r.end; ++i) {
+      EXPECT_EQ(cursor(i), sources[static_cast<size_t>(i)]) << "arc " << i;
+    }
+    first += kBucket;
+  }
+}
+
 TEST(WorkPartitionTest, ReorderingMovesArcsBetweenBuckets) {
   // The mechanism the whole paper rides on: permuting vertices changes the
   // arc content of each fixed-id-range block.
