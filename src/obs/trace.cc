@@ -16,7 +16,8 @@ int CurrentThreadId() {
   return id;
 }
 
-/// JSON string escaping (quotes, backslashes, control characters).
+}  // namespace
+
 void AppendJsonEscaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
@@ -46,8 +47,6 @@ void AppendJsonEscaped(std::string& out, std::string_view s) {
     }
   }
 }
-
-}  // namespace
 
 uint64_t GenerateTraceId() {
   // The salt decorrelates concurrent processes; the counter guarantees

@@ -50,6 +50,10 @@ uint64_t GenerateTraceId();
 /// 16-digit lower-case hex rendering used by the journal and exporters.
 std::string TraceIdHex(uint64_t trace_id);
 
+/// Appends `s` as JSON string content (quotes, backslashes and control
+/// characters escaped): the escaping of the trace export and the journal.
+void AppendJsonEscaped(std::string& out, std::string_view s);
+
 class Tracer;
 
 /// RAII span handle. Default-constructed spans are inert: every method is a

@@ -1,8 +1,8 @@
 #include "service/batch_service.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
+#include <string_view>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -18,38 +18,11 @@ double MillisBetween(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/// JSON string escaping for the journal (quotes, backslashes, control
-/// characters; everything else passes through).
-std::string JsonEscape(const std::string& s) {
+/// Journal strings are escaped exactly as the trace export escapes them.
+std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendJsonEscaped(out, s);
   return out;
 }
 
@@ -77,6 +50,15 @@ void RecordQueueDepth(size_t depth) {
       .GetGauge("gputc_queue_depth",
                 "Requests waiting in the batch service work queue")
       .Set(static_cast<double>(depth));
+}
+
+/// A counted request is kOk only when the service's first fallback stage
+/// won on its base variant; any other winner is a degradation.
+RequestOutcome CountedOutcome(const std::string& stage,
+                              const std::string& variant,
+                              const std::string& primary) {
+  return variant == "base" && stage == primary ? RequestOutcome::kOk
+                                               : RequestOutcome::kDegraded;
 }
 
 }  // namespace
@@ -132,6 +114,28 @@ std::string RequestReport::ToJson() const {
   return out;
 }
 
+void RecordExecution(const StatusOr<ExecutionResult>& executed,
+                     const ExecutionTrace& trace, const std::string& primary,
+                     RequestReport* report) {
+  report->attempts = static_cast<int>(trace.attempts.size());
+  report->trace.reserve(trace.attempts.size());
+  for (const AttemptRecord& attempt : trace.attempts) {
+    report->trace.push_back(
+        attempt.stage + "/" + attempt.variant + " -> " +
+        (attempt.status.ok() ? "OK" : attempt.status.ToString()));
+  }
+  if (!executed.ok()) {
+    report->outcome = RequestOutcome::kFailed;
+    report->status = executed.status();
+    return;
+  }
+  report->stage = executed->stage;
+  report->variant = executed->variant;
+  report->triangles = executed->run.triangles;
+  report->outcome = CountedOutcome(executed->stage, executed->variant, primary);
+  report->status = OkStatus();
+}
+
 int BatchSummary::CountOutcome(RequestOutcome outcome) const {
   int count = 0;
   for (const RequestReport& r : reports) {
@@ -171,18 +175,10 @@ BatchService::BatchService(BatchServiceOptions options)
 
   if (options_.prep_cache != nullptr) {
     prep_cache_ = options_.prep_cache;
-  } else if (options_.prep_cache_mb > 0 || !options_.prep_cache_dir.empty()) {
-    if (!options_.prep_cache_dir.empty()) {
-      cache_store_ = std::make_unique<DiskCacheStore>(options_.prep_cache_dir);
-    }
-    // A dir with no explicit tier-1 budget still gets a working in-memory
-    // tier, so asking only for the durable tier never disables coalescing.
-    const int64_t budget_bytes = options_.prep_cache_mb > 0
-                                     ? options_.prep_cache_mb << 20
-                                     : kDefaultPrepCacheBytes;
-    owned_cache_ = std::make_unique<PrepCache>(budget_bytes,
-                                               cache_store_.get());
-    prep_cache_ = owned_cache_.get();
+  } else {
+    owned_cache_ =
+        MakeTieredPrepCache(options_.prep_cache_dir, options_.prep_cache_mb);
+    prep_cache_ = owned_cache_.cache.get();
   }
 }
 
@@ -200,7 +196,6 @@ void BatchService::Start() {
     // RLIMIT_AS: containment by the kernel instead of by cooperative
     // accounting.
     supervision.rlimit_as_bytes = options_.mem_budget_bytes;
-    supervision.heartbeat_interval_ms = options_.heartbeat_interval_ms;
     supervision.breaker = &breakers_.ForBackend("worker");
     supervisor_ = std::make_unique<Supervisor>(supervision);
     const Status started = supervisor_->Start();
@@ -439,9 +434,10 @@ void BatchService::Process(int worker_index, QueuedRequest queued) {
   // already cached skips the preprocessing recompute, so it is admitted with
   // the smaller post-cache estimate — reserving the cold estimate would
   // double-count the directed graph it never rebuilds.
+  const DeviceSpec spec = DeviceSpec::TitanXpLike();
   const bool base_cached =
       prep_cache_ != nullptr &&
-      prep_cache_->Contains(PrepFingerprint(*graph, options_.spec, preprocess));
+      prep_cache_->Contains(PrepFingerprint(*graph, spec, preprocess));
   const int64_t estimate = base_cached ? EstimateHostBytesCached(*graph)
                                        : EstimateHostBytes(*graph);
   admit_span.SetAttr("estimate_bytes", estimate);
@@ -514,8 +510,7 @@ void BatchService::Process(int worker_index, QueuedRequest queued) {
     }
   }
 
-  ExecutionPolicy policy = options_.policy;
-  policy.timeout_ms = 0.0;  // The watchdog owns the clock.
+  ExecutionPolicy policy;  // No timeout_ms: the watchdog owns the clock.
   policy.cancel = cancel;
   Span exec_span =
       tracer != nullptr
@@ -526,8 +521,8 @@ void BatchService::Process(int worker_index, QueuedRequest queued) {
   policy.parent_span = exec_span.id();
 
   ExecutionTrace trace;
-  StatusOr<ExecutionResult> executed = ExecuteResilient(
-      *graph, options_.spec, policy, allowed, preprocess, &trace);
+  StatusOr<ExecutionResult> executed =
+      ExecuteResilient(*graph, spec, policy, allowed, preprocess, &trace);
   exec_span.SetAttr("attempts", static_cast<int64_t>(trace.attempts.size()));
   if (!executed.ok()) exec_span.SetStatus(executed.status());
   exec_span.Finish();
@@ -535,26 +530,8 @@ void BatchService::Process(int worker_index, QueuedRequest queued) {
   FeedBreakers(allowed, trace);
   admission_.Release(estimate);
   unregister();
-
-  report.attempts = static_cast<int>(trace.attempts.size());
-  report.trace.reserve(trace.attempts.size());
-  for (const AttemptRecord& attempt : trace.attempts) {
-    report.trace.push_back(attempt.stage + "/" + attempt.variant + " -> " +
-                           (attempt.status.ok() ? "OK"
-                                                : attempt.status.ToString()));
-  }
-
-  if (!executed.ok()) {
-    finish(RequestOutcome::kFailed, executed.status());
-    return;
-  }
-  report.stage = executed->stage;
-  report.variant = executed->variant;
-  report.triangles = executed->run.triangles;
-  const bool base_config = executed->variant == "base" &&
-                           executed->stage == options_.chain.front().name();
-  finish(base_config ? RequestOutcome::kOk : RequestOutcome::kDegraded,
-         OkStatus());
+  RecordExecution(executed, trace, options_.chain.front().name(), &report);
+  finish(report.outcome, report.status);
 }
 
 void BatchService::ProcessIsolated(
@@ -612,9 +589,8 @@ void BatchService::ProcessIsolated(
     report->stage = result.stage;
     report->variant = result.variant;
     report->triangles = result.triangles;
-    const bool base_config = result.variant == "base" &&
-                             result.stage == options_.chain.front().name();
-    finish(base_config ? RequestOutcome::kOk : RequestOutcome::kDegraded,
+    finish(CountedOutcome(result.stage, result.variant,
+                          options_.chain.front().name()),
            OkStatus());
     return;
   }
@@ -648,7 +624,7 @@ void BatchService::ProcessIsolated(
                                       "' for cpu failover"));
     return;
   }
-  ExecutionPolicy policy = options_.policy;
+  ExecutionPolicy policy;
   policy.timeout_ms = timeout_ms;  // No watchdog token here; self-enforced.
   policy.tracer = tracer;
   policy.trace_id = report->trace_id;
@@ -656,32 +632,15 @@ void BatchService::ProcessIsolated(
   const std::vector<FallbackStage> cpu_chain = {FallbackStage{true}};
   ExecutionTrace trace;
   StatusOr<ExecutionResult> executed =
-      ExecuteResilient(*graph, options_.spec, policy, cpu_chain,
+      ExecuteResilient(*graph, DeviceSpec::TitanXpLike(), policy, cpu_chain,
                        options_.preprocess, &trace);
   failover_span.SetAttr("attempts",
                         static_cast<int64_t>(trace.attempts.size()));
   if (!executed.ok()) failover_span.SetStatus(executed.status());
   failover_span.Finish();
-  report->attempts = static_cast<int>(trace.attempts.size());
-  for (const AttemptRecord& attempt : trace.attempts) {
-    report->trace.push_back(attempt.stage + "/" + attempt.variant + " -> " +
-                            (attempt.status.ok()
-                                 ? "OK"
-                                 : attempt.status.ToString()));
-  }
-  if (!executed.ok()) {
-    finish(RequestOutcome::kFailed,
-           executed.status().WithContext(
-               "cpu failover (worker circuit breaker open)"));
-    return;
-  }
-  report->stage = executed->stage;
-  report->variant = executed->variant;
-  report->triangles = executed->run.triangles;
-  const bool base_config = executed->variant == "base" &&
-                           executed->stage == options_.chain.front().name();
-  finish(base_config ? RequestOutcome::kOk : RequestOutcome::kDegraded,
-         OkStatus());
+  RecordExecution(executed, trace, options_.chain.front().name(), report);
+  finish(report->outcome, report->status.WithContext(
+                              "cpu failover (worker circuit breaker open)"));
 }
 
 void BatchService::FeedBreakers(const std::vector<FallbackStage>& allowed,

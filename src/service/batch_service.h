@@ -50,14 +50,10 @@ struct BatchServiceOptions {
   /// On drain, how long in-flight requests may keep running before the
   /// watchdog cancels them. <= 0 cancels immediately.
   double drain_grace_ms = 1000.0;
-  /// Template for each request's execution policy. The service owns the
-  /// deadline (watchdog) and the cancel token; timeout_ms here is ignored.
-  ExecutionPolicy policy;
   /// Default fallback chain (a manifest line's fallback= override wins).
   std::vector<FallbackStage> chain = {
       FallbackStage{false, TcAlgorithm::kHu}, FallbackStage{true}};
   PreprocessOptions preprocess;
-  DeviceSpec spec = DeviceSpec::TitanXpLike();
   /// Per-backend breaker tuning.
   CircuitBreakerOptions breaker;
   /// Observability sink (optional, not owned; must outlive the service).
@@ -78,8 +74,6 @@ struct BatchServiceOptions {
   int isolate = 0;
   /// gputc binary to exec as workers; required when isolate > 0.
   std::string worker_binary;
-  /// Heartbeat cadence for isolated workers (supervisor hang detection).
-  double heartbeat_interval_ms = 25.0;
   /// When >= 0, rejected reports carry this retry hint (retry_after_ms in
   /// the journal line) so shed clients back off instead of hammering. The
   /// serve daemon sets it; batch mode keeps the default -1 and its journal
@@ -146,6 +140,15 @@ struct RequestReport {
   /// Single-line JSON object for the machine-readable journal.
   std::string ToJson() const;
 };
+
+/// The one mapping from an ExecuteResilient call to a report: `attempts` and
+/// one `trace` line per attempt always; on success the winning `stage`,
+/// `variant` and `triangles`, with outcome kOk when `primary` (the service's
+/// first fallback stage) won on its base variant and kDegraded otherwise; on
+/// failure kFailed and the error as `status`.
+void RecordExecution(const StatusOr<ExecutionResult>& executed,
+                     const ExecutionTrace& trace, const std::string& primary,
+                     RequestReport* report);
 
 /// Everything Finish returns: the journal (in completion order) plus drain
 /// metadata and outcome tallies.
@@ -241,11 +244,10 @@ class BatchService {
                     const ExecutionTrace& trace);
 
   const BatchServiceOptions options_;
-  /// Tier-2 store + owned tier-1 cache, built from the options knobs when no
-  /// external cache was supplied. `prep_cache_` is the one pointer Process
-  /// consults: external > owned > null.
-  std::unique_ptr<DiskCacheStore> cache_store_;
-  std::unique_ptr<PrepCache> owned_cache_;
+  /// The cache built from the options knobs when no external cache was
+  /// supplied. `prep_cache_` is the one pointer Process consults: external >
+  /// owned > null.
+  TieredPrepCache owned_cache_;
   PrepCache* prep_cache_ = nullptr;
   WorkQueue<QueuedRequest> queue_;
   AdmissionController admission_;

@@ -270,4 +270,13 @@ StatusOr<int64_t> DiskCacheStore::PurgeAll() {
   return removed;
 }
 
+TieredPrepCache MakeTieredPrepCache(const std::string& dir, int64_t mb) {
+  TieredPrepCache tiers;
+  if (dir.empty() && mb <= 0) return tiers;
+  if (!dir.empty()) tiers.store = std::make_unique<DiskCacheStore>(dir);
+  tiers.cache = std::make_unique<PrepCache>(
+      mb > 0 ? mb << 20 : kDefaultPrepCacheBytes, tiers.store.get());
+  return tiers;
+}
+
 }  // namespace gputc

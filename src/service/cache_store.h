@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -110,6 +111,19 @@ class DiskCacheStore : public PrepCacheStore {
   CircuitBreaker breaker_;
   StorageHealthMonitor* health_ = nullptr;
 };
+
+/// The two-tier preprocessing cache `--prep-cache DIR` / `--prep-cache-mb N`
+/// ask for: tier 1 in memory, tier 2 in `store` when a directory is set.
+/// `store` is declared first so it outlives the cache that points at it.
+struct TieredPrepCache {
+  std::unique_ptr<DiskCacheStore> store;
+  std::unique_ptr<PrepCache> cache;
+};
+
+/// Builds that cache; `cache` stays null when `dir` is empty and `mb` <= 0.
+/// Tier 1 holds `mb` MiB, or kDefaultPrepCacheBytes when `mb` <= 0, so
+/// asking only for the durable tier never disables coalescing.
+TieredPrepCache MakeTieredPrepCache(const std::string& dir, int64_t mb);
 
 }  // namespace gputc
 

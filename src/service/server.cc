@@ -275,10 +275,9 @@ void Server::AcceptPending(int listener_fd, bool is_health) {
     if (!is_health) {
       ++summary_.connections_accepted;
       ConnectionsGauge().Add(1.0);
-      if (options_.send_hello) {
-        conn.QueueLine("{\"hello\":\"gputc\",\"version\":\"" +
-                       VersionString() + "\",\"proto\":1}");
-      }
+      // Protocol clients read this version hello before their first request.
+      conn.QueueLine("{\"hello\":\"gputc\",\"version\":\"" +
+                     VersionString() + "\",\"proto\":1}");
     }
   }
 }

@@ -76,9 +76,6 @@ struct ServerOptions {
   /// Drain ladder grace: how long in-flight requests may finish naturally
   /// after shutdown is requested before the service cancels them.
   double drain_grace_ms = 2000.0;
-  /// Emit the version hello line on accept (protocol clients expect it;
-  /// tests may turn it off).
-  bool send_hello = true;
 
   /// How many previous runs already wrote the WAL this daemon resumed
   /// (`WalReplay::versions.size()`; 0 for a fresh log or no WAL). Folded
@@ -137,10 +134,7 @@ class Server {
   Status Start();
 
   /// Side-effect-free admissibility check for one WAL-recovered request
-  /// line: parses it and requires exactly one request. Run this over every
-  /// recovered intent (and resolve the failures) BEFORE the first
-  /// SubmitRecovered — once a recovered request is in flight, its report
-  /// can race anything the caller emits outside the journal lock.
+  /// line: parses it and requires exactly one request.
   Status ValidateRecovered(const std::string& id,
                            const std::string& line) const;
 

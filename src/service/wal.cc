@@ -138,6 +138,7 @@ StatusOr<WalReplay> FoldWalRecords(const SegmentScan& scan,
 
   std::set<std::string> done_ids;
   std::set<std::string> intent_ids;
+  std::vector<std::string> intent_order;  // First intent per id, log order.
   std::map<std::string, std::string> intent_specs;
   for (const std::string& payload : scan.records) {
     DecodedRecord record;
@@ -158,25 +159,18 @@ StatusOr<WalReplay> FoldWalRecords(const SegmentScan& scan,
       if (!record.spec.empty()) {
         intent_specs[record.id] = std::move(record.spec);
       }
-      intent_ids.insert(std::move(record.id));
-    }
-  }
-  for (const WalDoneRecord& record : replay.done) {
-    intent_ids.erase(record.id);
-  }
-  // Preserve intent order for the pending list by re-scanning in sequence.
-  std::set<std::string> emitted;
-  for (const std::string& payload : scan.records) {
-    if (payload.empty() || payload[0] != kIntent) continue;
-    DecodedRecord record;
-    if (!DecodeRecord(payload, &record).ok()) continue;
-    if (intent_ids.count(record.id) > 0 && emitted.insert(record.id).second) {
-      auto spec = intent_specs.find(record.id);
-      if (spec != intent_specs.end()) {
-        replay.pending_specs[record.id] = std::move(spec->second);
+      if (intent_ids.insert(record.id).second) {
+        intent_order.push_back(std::move(record.id));
       }
-      replay.pending.push_back(std::move(record.id));
     }
+  }
+  for (std::string& id : intent_order) {
+    if (done_ids.count(id) > 0) continue;
+    auto spec = intent_specs.find(id);
+    if (spec != intent_specs.end()) {
+      replay.pending_specs[id] = std::move(spec->second);
+    }
+    replay.pending.push_back(std::move(id));
   }
   if (replay.torn_bytes > 0) {
     GPUTC_LOG(Warning) << context << ": recovered past a torn tail ("

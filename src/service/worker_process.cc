@@ -9,7 +9,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -36,7 +35,6 @@
 namespace gputc {
 namespace {
 
-constexpr size_t kFrameHeaderBytes = 8;
 /// Upper bound on one frame's payload: far above any real request/result
 /// (the largest carries a few KB of trace lines) but small enough that a
 /// garbage length from a torn header cannot trigger a giant allocation.
@@ -47,20 +45,6 @@ constexpr uint32_t kMaxFramePayload = 16u << 20;
 constexpr int kChildRequestFd = 3;
 constexpr int kChildResponseFd = 4;
 constexpr int kChildStatusFd = 5;
-
-void PutU32(char* out, uint32_t v) {
-  out[0] = static_cast<char>(v & 0xff);
-  out[1] = static_cast<char>((v >> 8) & 0xff);
-  out[2] = static_cast<char>((v >> 16) & 0xff);
-  out[3] = static_cast<char>((v >> 24) & 0xff);
-}
-
-uint32_t GetU32(const char* in) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(in[0])) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(in[1])) << 8) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(in[2])) << 16) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(in[3])) << 24);
-}
 
 // EINTR-safe exact I/O lives in util/net_io (WriteAllFd/ReadFullFd), shared
 // with the serve daemon; the EPIPE -> FailedPrecondition classification
@@ -168,11 +152,9 @@ Status ForEachWireLine(
 }  // namespace
 
 Status WriteFrame(int fd, char type, std::string_view body) {
-  std::string frame(kFrameHeaderBytes + 1 + body.size(), '\0');
-  PutU32(&frame[0], static_cast<uint32_t>(1 + body.size()));
-  frame[kFrameHeaderBytes] = type;
-  std::copy(body.begin(), body.end(), frame.begin() + kFrameHeaderBytes + 1);
-  PutU32(&frame[4], Crc32c(frame.data() + kFrameHeaderBytes, 1 + body.size()));
+  std::string payload(1, type);
+  payload.append(body.data(), body.size());
+  const std::string frame = EncodeFrame(payload);
 
   // Result frames deliberately land in two writes with the
   // "worker.response.torn" site between them: armed as `crash`, the worker
@@ -180,7 +162,7 @@ Status WriteFrame(int fd, char type, std::string_view body) {
   // supervisor must classify as a crash, not as usable data.
   if (type == kFrameResult) {
     FailPointScope scope;
-    const size_t split = kFrameHeaderBytes + (1 + body.size()) / 2;
+    const size_t split = kFrameHeaderBytes + payload.size() / 2;
     GPUTC_RETURN_IF_ERROR(WriteAllFd(fd, frame.data(), split));
     GPUTC_RETURN_IF_ERROR(CheckFailPoint("worker.response.torn"));
     return WriteAllFd(fd, frame.data() + split, frame.size() - split);
@@ -199,12 +181,9 @@ StatusOr<WireFrame> ReadFrame(int fd) {
     return DataLossError("torn frame: EOF after " +
                          std::to_string(header_read) + " header byte(s)");
   }
-  const uint32_t payload_len = GetU32(header);
-  const uint32_t expected_crc = GetU32(header + 4);
-  if (payload_len == 0 || payload_len > kMaxFramePayload) {
-    return DataLossError("corrupt frame header: payload length " +
-                         std::to_string(payload_len));
-  }
+  GPUTC_ASSIGN_OR_RETURN(const FrameHeader frame_header,
+                         DecodeFrameHeader(header, kMaxFramePayload));
+  const uint32_t payload_len = frame_header.length;
   std::string payload(payload_len, '\0');
   GPUTC_ASSIGN_OR_RETURN(const size_t payload_read,
                          ReadFullFd(fd, &payload[0], payload_len));
@@ -213,7 +192,7 @@ StatusOr<WireFrame> ReadFrame(int fd) {
                          std::to_string(payload_read) + " of " +
                          std::to_string(payload_len) + " payload byte(s)");
   }
-  if (Crc32c(payload) != expected_crc) {
+  if (Crc32c(payload) != frame_header.crc) {
     return DataLossError("frame checksum mismatch");
   }
   WireFrame frame;

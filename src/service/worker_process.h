@@ -16,8 +16,8 @@ namespace gputc {
 // Process isolation primitives for the batch service: one WorkerProcess is a
 // fork/exec'd `gputc worker` subprocess speaking a length-prefixed,
 // CRC32C-checked frame protocol over two pipes. The framing is the
-// durable_file segment format ([u32 len][u32 crc32c][payload], little
-// endian) so a torn frame — a worker SIGKILLed mid-write — is detected the
+// durable_file frame (EncodeFrame / DecodeFrameHeader) the segment log
+// stores its records in, so a torn frame — a worker SIGKILLed mid-write — is detected the
 // same way a torn log tail is: the checksum fails or the bytes run out, and
 // nothing after the tear is trusted. The first payload byte is the frame
 // type:

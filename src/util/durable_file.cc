@@ -18,8 +18,6 @@
 namespace gputc {
 namespace {
 
-/// Frame header: payload length then CRC32C of the payload, both u32 LE.
-constexpr size_t kFrameHeaderBytes = 2 * sizeof(uint32_t);
 /// Sanity cap on one record, so a garbage length field in a damaged segment
 /// cannot drive a multi-gigabyte allocation during recovery.
 constexpr uint32_t kMaxRecordBytes = 1u << 30;
@@ -86,6 +84,27 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
     crc = kTable[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+std::string EncodeFrame(std::string_view payload) {
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + payload.size());
+  PutU32(&frame, static_cast<uint32_t>(payload.size()));
+  PutU32(&frame, Crc32c(payload));
+  frame.append(payload.data(), payload.size());
+  return frame;
+}
+
+StatusOr<FrameHeader> DecodeFrameHeader(const char* header,
+                                        uint32_t max_payload) {
+  FrameHeader decoded;
+  decoded.length = GetU32(header);
+  decoded.crc = GetU32(header + 4);
+  if (decoded.length == 0 || decoded.length > max_payload) {
+    return DataLossError("corrupt frame header: payload length " +
+                         std::to_string(decoded.length));
+  }
+  return decoded;
 }
 
 // -- AtomicFileWriter ---------------------------------------------------------
@@ -218,18 +237,18 @@ StatusOr<SegmentScan> ScanSegment(const std::string& path) {
   while (total - pos >= kFrameHeaderBytes) {
     in.read(header, kFrameHeaderBytes);
     if (in.gcount() != static_cast<std::streamsize>(kFrameHeaderBytes)) break;
-    const uint32_t len = GetU32(header);
-    const uint32_t stored_crc = GetU32(header + 4);
-    // An all-zero header is a crash-extended tail whose blocks were never
-    // written (file length grew, data reads back as zeros), not a record:
-    // Append refuses empty payloads so no real frame looks like this.
-    if (len == 0 && stored_crc == 0) break;
-    if (len > kMaxRecordBytes) break;  // Garbage length: untrusted tail.
+    // A zero length is a crash-extended tail whose blocks were never written
+    // (file length grew, data reads back as zeros), not a record; a garbage
+    // length is an untrusted tail.
+    const StatusOr<FrameHeader> frame =
+        DecodeFrameHeader(header, kMaxRecordBytes);
+    if (!frame.ok()) break;
+    const uint32_t len = frame->length;
     if (total - pos - kFrameHeaderBytes < len) break;  // Torn payload.
     payload.resize(len);
     in.read(payload.data(), static_cast<std::streamsize>(len));
     if (in.gcount() != static_cast<std::streamsize>(len)) break;
-    if (Crc32c(payload) != stored_crc) break;  // Corrupt frame.
+    if (Crc32c(payload) != frame->crc) break;  // Corrupt frame.
     scan.records.push_back(payload);
     pos += kFrameHeaderBytes + len;
   }
@@ -321,11 +340,7 @@ Status SegmentWriter::Append(std::string_view payload) {
   GPUTC_RETURN_IF_ERROR(
       CheckFailPoint("durable.append").WithContext("append('" + path_ + "')"));
 
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32c(payload));
-  frame.append(payload.data(), payload.size());
+  const std::string frame = EncodeFrame(payload);
 
   // The rollback point for a torn write: the fd is O_APPEND, so the current
   // size is where this frame starts.

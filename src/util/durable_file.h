@@ -51,6 +51,27 @@ inline uint32_t Crc32c(std::string_view data, uint32_t seed = 0) {
   return Crc32c(data.data(), data.size(), seed);
 }
 
+/// One record frame: [u32 payload_len][u32 crc32c(payload)][payload], little
+/// endian. The segment log stores its records in it and the worker pipes
+/// carry their messages in it. Payloads are never empty, so an all-zero
+/// header (a crash-extended tail whose blocks were never written) is never a
+/// frame.
+inline constexpr size_t kFrameHeaderBytes = 2 * sizeof(uint32_t);
+
+/// Header + payload of the frame carrying `payload`.
+std::string EncodeFrame(std::string_view payload);
+
+struct FrameHeader {
+  uint32_t length = 0;  // Payload bytes that follow the header.
+  uint32_t crc = 0;     // CRC32C of those bytes.
+};
+
+/// Decodes the kFrameHeaderBytes at `header`. DataLoss when the payload
+/// length is 0 or above `max_payload`, so a torn or foreign header can
+/// neither pass for a frame nor drive a giant allocation.
+StatusOr<FrameHeader> DecodeFrameHeader(const char* header,
+                                        uint32_t max_payload);
+
 /// Atomic whole-file replacement. Writes stream into
 /// `<path>.tmp.<pid>.<seq>` (the sequence number keeps concurrent writers
 /// targeting the same path in one process from clobbering each other's temp
@@ -109,11 +130,10 @@ struct SegmentScan {
 };
 
 /// Reads every intact record of the segment at `path`, streaming one frame
-/// at a time (the file is never buffered whole). Framing is
-/// [u32 payload_len][u32 crc32c(payload)][payload]; scanning stops at the
-/// first frame that is incomplete, fails its checksum, or has an all-zero
-/// header — a crash can only tear the tail, and a crash-extended file whose
-/// blocks were never written reads back as zeros, so nothing after either is
+/// at a time (the file is never buffered whole). Scanning stops at the first
+/// frame that is incomplete, fails its checksum, or has an all-zero header —
+/// a crash can only tear the tail, and a crash-extended file whose blocks
+/// were never written reads back as zeros, so nothing after either is
 /// trusted. (Empty payloads are rejected by Append precisely so a zero
 /// header can never be a real record.) kNotFound when the file does not
 /// exist.

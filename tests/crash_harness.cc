@@ -1,10 +1,12 @@
 #include "crash_harness.h"
 
-#include <fcntl.h>
+#include <poll.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,19 +17,43 @@ namespace gputc {
 namespace testing {
 namespace {
 
-/// Drains an fd to a string after the child exits. Pipe capacity (64 KiB on
-/// Linux) bounds what a non-draining parent could deadlock on, so the reader
-/// threads-free approach here relies on the CLI's bounded output per run.
-std::string DrainFd(int fd) {
-  std::string out;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    out.append(buf, static_cast<size_t>(n));
+/// Reads the child's stdout and stderr together until both close, SIGKILLs
+/// the child at the deadline, and returns true if it had to. Pipes held open
+/// past the kill (by a grandchild) get a few more seconds, then are dropped.
+bool DrainChild(pid_t pid, int out_fd, int err_fd, ChildResult* result) {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point deadline =
+      Clock::now() + std::chrono::seconds(kChildDeadlineSeconds);
+  bool killed = false;
+  pollfd fds[2] = {{out_fd, POLLIN, 0}, {err_fd, POLLIN, 0}};
+  std::string* sinks[2] = {&result->stdout_text, &result->stderr_text};
+  while (fds[0].fd >= 0 || fds[1].fd >= 0) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) {
+      if (killed) break;
+      ::kill(pid, SIGKILL);
+      killed = true;
+      deadline = Clock::now() + std::chrono::seconds(5);
+      continue;
+    }
+    if (::poll(fds, 2, static_cast<int>(left.count())) < 0) {
+      if (errno == EINTR) continue;
+      break;
+    }
+    for (int i = 0; i < 2; ++i) {
+      if (fds[i].fd < 0 || fds[i].revents == 0) continue;
+      char buf[4096];
+      const ssize_t n = ::read(fds[i].fd, buf, sizeof(buf));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        fds[i].fd = -1;  // poll(2) skips negative descriptors.
+        continue;
+      }
+      sinks[i]->append(buf, static_cast<size_t>(n));
+    }
   }
-  return out;
+  return killed;
 }
 
 }  // namespace
@@ -97,15 +123,20 @@ ChildResult RunGputc(const std::vector<std::string>& args,
 
   ::close(out_pipe[1]);
   ::close(err_pipe[1]);
-  result.stdout_text = DrainFd(out_pipe[0]);
-  result.stderr_text = DrainFd(err_pipe[0]);
+  const bool killed = DrainChild(pid, out_pipe[0], err_pipe[0], &result);
   ::close(out_pipe[0]);
   ::close(err_pipe[0]);
 
   int status = 0;
   while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
   }
-  if (WIFEXITED(status)) {
+  if (killed) {
+    // Not 137: that is also what a crash fail point exits with.
+    result.exit_code = -1;
+    result.stderr_text += "\n[crash_harness] child still running after " +
+                          std::to_string(kChildDeadlineSeconds) +
+                          " s; SIGKILLed\n";
+  } else if (WIFEXITED(status)) {
     result.exit_code = WEXITSTATUS(status);
   } else if (WIFSIGNALED(status)) {
     result.exit_code = 128 + WTERMSIG(status);

@@ -10,7 +10,8 @@ namespace testing {
 /// Result of running the gputc CLI as a child process.
 struct ChildResult {
   /// Exit code, or 128+signal if the child died to a signal it did not
-  /// convert into an exit code itself.
+  /// convert into an exit code itself, or -1 if it outlived the harness
+  /// deadline (kChildDeadlineSeconds) and the harness SIGKILLed it.
   int exit_code = -1;
   std::string stdout_text;
   std::string stderr_text;
@@ -20,7 +21,13 @@ struct ChildResult {
 /// GPUTC_CLI_PATH.
 std::string GputcBinaryPath();
 
-/// fork/execs the gputc binary with `args` (argv[1..]) and waits for it.
+/// A child still running this long is wedged: the harness SIGKILLs it, so
+/// a hang fails its test with the child's stderr instead of at ctest's
+/// per-test timeout.
+inline constexpr int kChildDeadlineSeconds = 120;
+
+/// fork/execs the gputc binary with `args` (argv[1..]) and waits for it, at
+/// most kChildDeadlineSeconds.
 ///
 /// The child's environment is the parent's MINUS any inherited
 /// GPUTC_FAILPOINTS (CI chaos jobs export an ambient schedule that would

@@ -17,6 +17,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -250,6 +251,50 @@ TEST_F(CrashRecoveryTest, ExitCodeContract) {
   EXPECT_NE(stale.stderr_text.find("--resume"), std::string::npos);
   // 0: the resume path accepts it.
   EXPECT_EQ(RunGputc(BatchArgs("block", true)).exit_code, 0);
+  // 2: malformed numbers are usage errors, not aborts.
+  const std::string out = dir_ + "/g.txt";
+  EXPECT_EQ(RunGputc({"generate", "--family", "rmat", "--scale", "abc",
+                      "--out", out})
+                .exit_code,
+            2);
+  EXPECT_EQ(RunGputc({"generate", "--family", "er", "--edges", "x", "--out",
+                      out})
+                .exit_code,
+            2);
+}
+
+/// code -> name pairs of an exit-code table: lines that start with
+/// `prefix`, a digit and `separator`, then the name up to " (".
+std::map<char, std::string> ExitCodeNames(const std::string& text,
+                                          const std::string& prefix,
+                                          const std::string& separator) {
+  std::map<char, std::string> names;
+  for (const std::string& line : Lines(text)) {
+    const size_t name_at = prefix.size() + 1 + separator.size();
+    const size_t details = line.find(" (");
+    if (line.compare(0, prefix.size(), prefix) != 0 ||
+        line.size() <= name_at || !std::isdigit(line[prefix.size()]) ||
+        line.compare(prefix.size() + 1, separator.size(), separator) != 0 ||
+        details == std::string::npos || details < name_at) {
+      continue;
+    }
+    names[line[prefix.size()]] = line.substr(name_at, details - name_at);
+  }
+  return names;
+}
+
+// `gputc --help` is the source of the exit-code contract; README's table
+// must name the same codes the same way.
+TEST_F(CrashRecoveryTest, ReadmeExitCodeTableMatchesHelp) {
+  const ChildResult help = RunGputc({"--help"});
+  const size_t table = help.stderr_text.find("exit codes");
+  ASSERT_NE(table, std::string::npos) << help.stderr_text;
+  const std::map<char, std::string> from_help =
+      ExitCodeNames(help.stderr_text.substr(table), "  ", "  ");
+  const std::map<char, std::string> from_readme =
+      ExitCodeNames(Slurp(GPUTC_README_PATH), "| ", " | ");
+  EXPECT_EQ(from_help.size(), 7u) << help.stderr_text;
+  EXPECT_EQ(from_readme, from_help);
 }
 
 TEST_F(CrashRecoveryTest, PartialFailureIsExitFiveAcrossResume) {
@@ -559,6 +604,31 @@ TEST_F(StorageFaultCliTest, StrictStopThenResumeConvergesOnBaseline) {
   EXPECT_EQ(resumed.exit_code, 0) << resumed.stderr_text;
   AssertJournalComplete();
   EXPECT_EQ(StableFields(journal_), baseline);
+}
+
+// A strict stop while requests are still queued: the slow first request
+// keeps twenty more waiting when its done append fails. The stop must turn
+// into a drain without the report path calling back into the service (it
+// once deadlocked there, on the service's own journal lock).
+TEST_F(StorageFaultCliTest, StrictStopWithQueuedRequestsDrainsAndResumes) {
+  {
+    std::ofstream out(manifest_, std::ios::trunc);
+    out << "gen:rmat:scale=14,edge-factor=8,seed=99\n";
+    for (int seed = 1; seed <= 20; ++seed) {
+      out << "gen:er:nodes=200,edges=800,seed=" << seed << "\n";
+    }
+    manifest_size_ = 21;
+  }
+  const ChildResult stopped =
+      RunGputc(WalArgs(/*resume=*/false), {"GPUTC_FAILPOINTS=wal.done=eio"});
+  ASSERT_EQ(stopped.exit_code, 6) << stopped.stderr_text;
+  EXPECT_NE(stopped.stderr_text.find("storage fail-stop"), std::string::npos)
+      << stopped.stderr_text;
+  EXPECT_TRUE(Lines(Slurp(journal_)).empty()) << Slurp(journal_);
+
+  const ChildResult resumed = RunGputc(WalArgs(/*resume=*/true));
+  EXPECT_EQ(resumed.exit_code, 0) << resumed.stderr_text;
+  AssertJournalComplete();
 }
 
 TEST_F(StorageFaultCliTest, DegradePolicyFinishesEveryRequest) {

@@ -742,7 +742,9 @@ TEST_F(BatchServiceTest, WarmCacheAdmitsWhatColdAdmissionRejects) {
   PrepCache cache(0);
   PreprocessOptions warmup = options.preprocess;
   warmup.prep_cache = &cache;
-  ASSERT_TRUE(TryPreprocess(*probe, options.spec, warmup, ExecContext()).ok());
+  ASSERT_TRUE(TryPreprocess(*probe, DeviceSpec::TitanXpLike(), warmup,
+                            ExecContext())
+                  .ok());
 
   options.prep_cache = &cache;
   BatchService service(options);
