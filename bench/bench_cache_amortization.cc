@@ -117,7 +117,8 @@ RunStats RunOnce(int jobs, PrepCache* cache,
       std::chrono::duration<double, std::milli>(finished - started).count();
   RunStats stats;
   stats.requests_per_sec =
-      wall_ms > 0.0 ? 1000.0 * summary.reports.size() / wall_ms : 0.0;
+      wall_ms > 0.0 ? 1000.0 * static_cast<double>(summary.Total()) / wall_ms
+                    : 0.0;
   stats.p50_ms = latencies.PercentileValue(50.0);
   return stats;
 }

@@ -32,9 +32,10 @@ struct TrussDecompositionResult {
 TrussDecompositionResult DecomposeTruss(const Graph& g);
 
 /// DecomposeTruss behind the validated front door: GraphDoctor examines `g`
-/// (CSR integrity, symmetry, self loops) and a damaged graph — e.g. a
-/// hand-assembled CSR with asymmetric adjacency, which would previously
-/// crash the peeling loop — is refused with a context-bearing Status.
+/// (count caps, wedge bound) and a graph that fails is refused with a
+/// context-bearing Status. The CSR itself is canonical by construction:
+/// Graph::FromCsr refuses the asymmetric adjacency that would crash the
+/// peeling loop.
 StatusOr<TrussDecompositionResult> TryDecomposeTruss(const Graph& g);
 
 /// The subgraph formed by edges with trussness >= k (same vertex ids,

@@ -201,7 +201,8 @@ StatusOr<ExecutionResult> ExecuteResilient(
     ctx.parent_span = policy.parent_span;
   }
 
-  // Validate once up front: every stage would see the same corrupt CSR, so
+  // Validate once up front (count caps and the wedge bound; the Graph is
+  // canonical by construction): every stage would see the same graph, so
   // invalid input is terminal, not a fallback trigger.
   {
     if (policy.on_stage) policy.on_stage("validate");

@@ -1,10 +1,71 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <string>
 
+#include "graph/validate.h"
 #include "util/logging.h"
 
 namespace gputc {
+namespace {
+
+Status NotCanonical(const std::string& detail) {
+  return DataLossError("adjacency is not canonical: " + detail +
+                       "; run 'gputc doctor --repair' to fix");
+}
+
+std::string RowName(VertexId u) { return "row " + std::to_string(u); }
+
+Status NoMirror(VertexId u, VertexId v) {
+  return NotCanonical("edge (" + std::to_string(u) + ", " +
+                      std::to_string(v) + ") has no mirror in " +
+                      RowName(v));
+}
+
+/// The canonical-form check over a CSR that passed GraphDoctor::CheckCsr, in
+/// one pass with no search. Symmetry uses a mirror cursor per row: rows are
+/// scanned in order, so the entries of row v below v are matched in
+/// increasing order by the rows that list v. An upper entry (u, v), v > u,
+/// must be the next unmatched entry of row v; when row u is reached, every
+/// entry of it below u must already be matched.
+Status CheckCanonical(const std::vector<EdgeCount>& offsets,
+                      const std::vector<VertexId>& adj) {
+  const VertexId n = static_cast<VertexId>(offsets.size() - 1);
+  std::vector<EdgeCount> cursor(offsets.begin(), offsets.end() - 1);
+  for (VertexId u = 0; u < n; ++u) {
+    const EdgeCount begin = offsets[u];
+    for (EdgeCount i = begin; i < offsets[u + 1]; ++i) {
+      const VertexId v = adj[static_cast<size_t>(i)];
+      if (i > begin) {
+        const VertexId prev = adj[static_cast<size_t>(i - 1)];
+        if (v == prev) {
+          return NotCanonical(RowName(u) + " lists " + std::to_string(v) +
+                              " twice");
+        }
+        if (v < prev) {
+          return NotCanonical(RowName(u) + " is not sorted at position " +
+                              std::to_string(i - begin) + " (" +
+                              std::to_string(v) + " after " +
+                              std::to_string(prev) + ")");
+        }
+      }
+      if (v == u) return NotCanonical(RowName(u) + " lists itself");
+      if (v > u) {
+        EdgeCount& mirror = cursor[v];
+        if (mirror == offsets[v + 1] ||
+            adj[static_cast<size_t>(mirror)] != u) {
+          return NoMirror(u, v);
+        }
+        ++mirror;
+      } else if (i >= cursor[u]) {
+        return NoMirror(u, v);
+      }
+    }
+  }
+  return OkStatus();
+}
+
+}  // namespace
 
 Graph Graph::FromEdgeList(EdgeList edges) {
   edges.Normalize();
@@ -31,6 +92,23 @@ Graph Graph::FromEdgeList(EdgeList edges) {
   for (VertexId v = 0; v < n; ++v) {
     std::sort(g.adj_.begin() + g.offsets_[v], g.adj_.begin() + g.offsets_[v + 1]);
   }
+  return g;
+}
+
+StatusOr<Graph> Graph::FromCsr(std::vector<EdgeCount> offsets,
+                               std::vector<VertexId> adjacency) {
+  if (offsets.empty()) {
+    return DataLossError("offsets array is empty, want n+1 entries");
+  }
+  const uint64_t n = offsets.size() - 1;
+  const uint64_t m = adjacency.size() / 2;
+  GPUTC_RETURN_IF_ERROR(GraphDoctor().CheckCounts(n, m));
+  GPUTC_RETURN_IF_ERROR(GraphDoctor::CheckCsr(n, m, offsets, adjacency));
+  GPUTC_RETURN_IF_ERROR(CheckCanonical(offsets, adjacency));
+  Graph g;
+  g.num_edges_ = static_cast<EdgeCount>(m);
+  g.offsets_ = std::move(offsets);
+  g.adj_ = std::move(adjacency);
   return g;
 }
 

@@ -6,15 +6,18 @@
 
 #include "graph/edge_list.h"
 #include "graph/types.h"
+#include "util/status.h"
 
 namespace gputc {
 
 /// Immutable undirected graph in CSR form.
 ///
-/// Adjacency lists are sorted by neighbor id and contain each neighbor once
-/// (simple graph: no self loops, no multi-edges). num_edges() counts each
+/// Canonical by construction: adjacency lists are sorted by neighbor id,
+/// contain each neighbor once, never list their own vertex, and every entry
+/// has its mirror (v in row u iff u in row v). num_edges() counts each
 /// undirected edge once; the CSR stores both endpoints, so the adjacency
-/// array has 2 * num_edges() entries.
+/// array has 2 * num_edges() entries. The two factories below are the only
+/// ways to build a non-empty Graph, and each establishes the invariant.
 class Graph {
  public:
   Graph() = default;
@@ -22,6 +25,14 @@ class Graph {
   /// Builds the CSR from an edge list. The list is normalized internally;
   /// callers may pass raw generator output.
   static Graph FromEdgeList(EdgeList edges);
+
+  /// Adopts CSR arrays (`offsets` has n+1 entries, `adjacency` 2m) after
+  /// one linear check: the structure GraphDoctor::CheckCsr checks and the
+  /// default ingestion caps, then rows strictly increasing, no row listing
+  /// its own vertex, and every entry mirrored. A failure is DataLoss; the
+  /// canonical-form failures say "not canonical" and name the row or edge.
+  static StatusOr<Graph> FromCsr(std::vector<EdgeCount> offsets,
+                                 std::vector<VertexId> adjacency);
 
   VertexId num_vertices() const {
     return static_cast<VertexId>(offsets_.empty() ? 0 : offsets_.size() - 1);

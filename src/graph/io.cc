@@ -61,6 +61,13 @@ std::string HexU64(uint64_t v) {
   return out.str();
 }
 
+/// The CSR sections of a binary graph file: `offsets` has n+1 entries and
+/// `adj` 2m, as the header declares.
+struct CsrSections {
+  std::vector<EdgeCount> offsets;
+  std::vector<VertexId> adj;
+};
+
 /// Reads `count` elements into `out`, reporting how many bytes were missing
 /// on short reads. The caller has already verified the physical file size,
 /// so a failure here means the file changed underfoot or the stream broke.
@@ -201,13 +208,11 @@ namespace {
 /// checks stand between a bit flip and a wrong count. Kept loadable for
 /// existing corpora; the warning nudges toward a re-save.
 Status ReadBinaryV1(std::istream& in, uint64_t file_size,
-                    const std::string& path, uint64_t* n, uint64_t* m,
-                    std::vector<EdgeCount>* offsets,
-                    std::vector<VertexId>* adj) {
-  uint64_t dummy_magic = 0;
+                    const std::string& path, CsrSections* csr) {
+  uint64_t dummy_magic = 0, n = 0, m = 0;
   in.read(reinterpret_cast<char*>(&dummy_magic), sizeof(dummy_magic));
-  in.read(reinterpret_cast<char*>(n), sizeof(*n));
-  in.read(reinterpret_cast<char*>(m), sizeof(*m));
+  in.read(reinterpret_cast<char*>(&n), sizeof(n));
+  in.read(reinterpret_cast<char*>(&m), sizeof(m));
   if (!in) return DataLossError("cannot read header");
   GPUTC_LOG(Warning) << "'" << path
                      << "' is a v1 binary graph (no checksums); re-save with "
@@ -218,20 +223,20 @@ Status ReadBinaryV1(std::istream& in, uint64_t file_size,
   // physical file *before* allocating anything the header controls. The caps
   // bound n and m, so the byte arithmetic below cannot overflow uint64.
   const GraphDoctor doctor;
-  GPUTC_RETURN_IF_ERROR(doctor.CheckCounts(*n, *m).WithContext("header"));
-  const uint64_t expected_size = kHeaderBytes + (*n + 1) * sizeof(EdgeCount) +
-                                 2 * *m * sizeof(VertexId);
+  GPUTC_RETURN_IF_ERROR(doctor.CheckCounts(n, m).WithContext("header"));
+  const uint64_t expected_size = kHeaderBytes + (n + 1) * sizeof(EdgeCount) +
+                                 2 * m * sizeof(VertexId);
   if (file_size != expected_size) {
     std::ostringstream msg;
-    msg << "header claims n = " << *n << ", m = " << *m << " implying "
+    msg << "header claims n = " << n << ", m = " << m << " implying "
         << expected_size << " bytes, but the file is " << file_size
         << " bytes";
     return DataLossError(msg.str());
   }
   GPUTC_RETURN_IF_ERROR(
-      ReadArray(in, *offsets, static_cast<size_t>(*n) + 1, "CSR offsets"));
+      ReadArray(in, csr->offsets, static_cast<size_t>(n) + 1, "CSR offsets"));
   GPUTC_RETURN_IF_ERROR(
-      ReadArray(in, *adj, static_cast<size_t>(2 * *m), "CSR adjacency"));
+      ReadArray(in, csr->adj, static_cast<size_t>(2 * m), "CSR adjacency"));
   return OkStatus();
 }
 
@@ -240,9 +245,7 @@ Status ReadBinaryV1(std::istream& in, uint64_t file_size,
 /// precise message — a torn save, a bit flip in the payload, and a damaged
 /// header are distinguishable in the Status alone.
 Status ReadBinaryV2(std::istream& in, uint64_t file_size,
-                    uint64_t* n, uint64_t* m,
-                    std::vector<EdgeCount>* offsets,
-                    std::vector<VertexId>* adj) {
+                    CsrSections* csr) {
   if (file_size < kHeaderBytesV2) {
     std::ostringstream msg;
     msg << "truncated v2 header: file is " << file_size << " bytes, need "
@@ -275,30 +278,30 @@ Status ReadBinaryV2(std::istream& in, uint64_t file_size,
         "file was never finalized: the writer did not complete its payload "
         "(torn or interrupted save)");
   }
-  *n = ReadScalar<uint64_t>(header + 16);
-  *m = ReadScalar<uint64_t>(header + 24);
+  const uint64_t n = ReadScalar<uint64_t>(header + 16);
+  const uint64_t m = ReadScalar<uint64_t>(header + 24);
   const uint32_t stored_offsets_crc = ReadScalar<uint32_t>(header + 32);
   const uint32_t stored_adj_crc = ReadScalar<uint32_t>(header + 36);
 
   const GraphDoctor doctor;
-  GPUTC_RETURN_IF_ERROR(doctor.CheckCounts(*n, *m).WithContext("header"));
+  GPUTC_RETURN_IF_ERROR(doctor.CheckCounts(n, m).WithContext("header"));
   const uint64_t expected_size = kHeaderBytesV2 +
-                                 (*n + 1) * sizeof(EdgeCount) +
-                                 2 * *m * sizeof(VertexId);
+                                 (n + 1) * sizeof(EdgeCount) +
+                                 2 * m * sizeof(VertexId);
   if (file_size != expected_size) {
     std::ostringstream msg;
-    msg << "header claims n = " << *n << ", m = " << *m << " implying "
+    msg << "header claims n = " << n << ", m = " << m << " implying "
         << expected_size << " bytes, but the file is " << file_size
         << " bytes";
     return DataLossError(msg.str());
   }
   GPUTC_RETURN_IF_ERROR(
-      ReadArray(in, *offsets, static_cast<size_t>(*n) + 1, "CSR offsets"));
+      ReadArray(in, csr->offsets, static_cast<size_t>(n) + 1, "CSR offsets"));
   GPUTC_RETURN_IF_ERROR(
-      ReadArray(in, *adj, static_cast<size_t>(2 * *m), "CSR adjacency"));
+      ReadArray(in, csr->adj, static_cast<size_t>(2 * m), "CSR adjacency"));
 
   const uint32_t offsets_crc =
-      Crc32c(offsets->data(), offsets->size() * sizeof(EdgeCount));
+      Crc32c(csr->offsets.data(), csr->offsets.size() * sizeof(EdgeCount));
   if (offsets_crc != stored_offsets_crc) {
     std::ostringstream msg;
     msg << "CSR offsets CRC mismatch: stored " << HexU64(stored_offsets_crc)
@@ -306,7 +309,7 @@ Status ReadBinaryV2(std::istream& in, uint64_t file_size,
     return DataLossError(msg.str());
   }
   const uint32_t adj_crc =
-      Crc32c(adj->data(), adj->size() * sizeof(VertexId));
+      Crc32c(csr->adj.data(), csr->adj.size() * sizeof(VertexId));
   if (adj_crc != stored_adj_crc) {
     std::ostringstream msg;
     msg << "CSR adjacency CRC mismatch: stored " << HexU64(stored_adj_crc)
@@ -316,9 +319,10 @@ Status ReadBinaryV2(std::istream& in, uint64_t file_size,
   return OkStatus();
 }
 
-}  // namespace
-
-StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path) {
+/// The one reader behind both binary loaders: opens `path`, dispatches on
+/// the magic, and returns the sections once the header, the caps, the size
+/// and (v2) the checksums agree. Errors carry the LoadBinary('path') context.
+StatusOr<CsrSections> ReadBinaryCsr(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return NotFoundError("cannot open '" + path + "'");
   const std::string ctx = "LoadBinary('" + path + "')";
@@ -342,32 +346,37 @@ StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path) {
   if (!in) return DataLossError("cannot read header").WithContext(ctx);
   in.seekg(0, std::ios::beg);
 
-  uint64_t n = 0, m = 0;
-  std::vector<EdgeCount> offsets;
-  std::vector<VertexId> adj;
+  CsrSections csr;
   if (magic == kBinaryMagicV2) {
-    GPUTC_RETURN_IF_ERROR(
-        ReadBinaryV2(in, file_size, &n, &m, &offsets, &adj).WithContext(ctx));
+    GPUTC_RETURN_IF_ERROR(ReadBinaryV2(in, file_size, &csr).WithContext(ctx));
   } else if (magic == kBinaryMagic) {
     GPUTC_RETURN_IF_ERROR(
-        ReadBinaryV1(in, file_size, path, &n, &m, &offsets, &adj)
-            .WithContext(ctx));
+        ReadBinaryV1(in, file_size, path, &csr).WithContext(ctx));
   } else {
     std::ostringstream msg;
     msg << "bad magic " << HexU64(magic) << ", want " << HexU64(kBinaryMagicV2)
         << " (v2) or " << HexU64(kBinaryMagic) << " (v1)";
     return DataLossError(msg.str()).WithContext(ctx);
   }
-  GPUTC_RETURN_IF_ERROR(GraphDoctor::CheckCsr(n, m, offsets, adj)
-                            .WithContext(ctx));
+  return csr;
+}
+
+}  // namespace
+
+StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path) {
+  GPUTC_ASSIGN_OR_RETURN(const CsrSections csr, ReadBinaryCsr(path));
+  const uint64_t n = csr.offsets.size() - 1;
+  GPUTC_RETURN_IF_ERROR(
+      GraphDoctor::CheckCsr(n, csr.adj.size() / 2, csr.offsets, csr.adj)
+          .WithContext("LoadBinary('" + path + "')"));
 
   // Structurally sound: lift into the staging edge list, preserving self
   // loops and duplicate entries for GraphDoctor to judge. Upper-triangle
   // entries carry the edges; lower-triangle entries are the mirrors.
   EdgeList list(static_cast<VertexId>(n));
   for (VertexId u = 0; u < n; ++u) {
-    for (EdgeCount i = offsets[u]; i < offsets[u + 1]; ++i) {
-      const VertexId v = adj[static_cast<size_t>(i)];
+    for (EdgeCount i = csr.offsets[u]; i < csr.offsets[u + 1]; ++i) {
+      const VertexId v = csr.adj[static_cast<size_t>(i)];
       if (u <= v) list.Add(u, v);
     }
   }
@@ -376,21 +385,10 @@ StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path) {
 }
 
 StatusOr<Graph> LoadBinary(const std::string& path) {
-  GPUTC_ASSIGN_OR_RETURN(EdgeList list, LoadBinaryEdgeList(path));
-  const uint64_t m = static_cast<uint64_t>(list.num_edges());
-  Graph g = Graph::FromEdgeList(std::move(list));
-  // A canonical CSR reassembles to exactly the header's edge count. Any
-  // difference means self loops, duplicates, or asymmetric rows survived the
-  // structural checks — repairable defects the strict loader refuses.
-  if (static_cast<uint64_t>(g.num_edges()) != m) {
-    std::ostringstream msg;
-    msg << "adjacency is not canonical: reassembly kept " << g.num_edges()
-        << " of " << m
-        << " edges (self loops, duplicates, or asymmetric rows); run "
-        << "'gputc doctor --repair' to fix";
-    return DataLossError(msg.str())
-        .WithContext("LoadBinary('" + path + "')");
-  }
+  GPUTC_ASSIGN_OR_RETURN(CsrSections csr, ReadBinaryCsr(path));
+  StatusOr<Graph> g =
+      Graph::FromCsr(std::move(csr.offsets), std::move(csr.adj));
+  if (!g.ok()) return g.status().WithContext("LoadBinary('" + path + "')");
   return g;
 }
 

@@ -58,16 +58,21 @@ Status SaveBinaryDurable(const Graph& g, const std::string& path);
 /// Legacy bool wrapper around SaveBinaryDurable.
 bool SaveBinary(const Graph& g, const std::string& path);
 
-/// Loads the native binary format with full structural validation: the
-/// header is checked against the physical file size and allocation caps
-/// *before* any payload-sized buffer is allocated, offsets must be monotonic
-/// with offsets[n] == 2m, and every adjacency id must be in range. The CSR
-/// must be canonical (symmetric, no self loops or duplicates); use
-/// LoadBinaryEdgeList + GraphDoctor for repairable inputs.
+/// Loads the native binary format and adopts the arrays it reads as the
+/// Graph: no edge list is built and nothing is re-sorted. The header is
+/// checked against the physical file size and allocation caps *before* any
+/// payload-sized buffer is allocated, then (v2) the section CRCs, then
+/// Graph::FromCsr's one linear check: offsets monotonic with
+/// offsets[n] == 2m, adjacency ids in range, every row strictly increasing,
+/// no self loops, every entry mirrored. A CSR that is not canonical is
+/// DataLoss naming the row or edge; use LoadBinaryEdgeList + GraphDoctor for
+/// repairable inputs.
 StatusOr<Graph> LoadBinary(const std::string& path);
 
-/// Binary loader that stops after structural validation and returns the raw
-/// edge list (self loops and in-row duplicates preserved) for GraphDoctor.
+/// Binary loader for GraphDoctor: the same reader and structure check as
+/// LoadBinary, then the CSR's entries with u <= v as a raw edge list (self
+/// loops and in-row duplicates preserved). Lower entries are taken as the
+/// mirrors and not read, so a missing mirror does not show here.
 StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path);
 
 // Extension-dispatching conveniences used by the CLI: ".bin" selects the

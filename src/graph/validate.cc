@@ -36,16 +36,6 @@ const char* FindingKindName(FindingKind kind) {
       return "unsorted-edges";
     case FindingKind::kEndpointOutOfRange:
       return "endpoint-out-of-range";
-    case FindingKind::kOffsetsNotMonotonic:
-      return "offsets-not-monotonic";
-    case FindingKind::kOffsetsBadBounds:
-      return "offsets-bad-bounds";
-    case FindingKind::kAdjacencyOutOfRange:
-      return "adjacency-out-of-range";
-    case FindingKind::kAdjacencyUnsorted:
-      return "adjacency-unsorted";
-    case FindingKind::kAsymmetricAdjacency:
-      return "asymmetric-adjacency";
     case FindingKind::kVertexCountOverflow:
       return "vertex-count-overflow";
     case FindingKind::kEdgeCountOverflow:
@@ -250,51 +240,6 @@ ValidationReport GraphDoctor::Examine(const Graph& g) const {
                                  : FindingKind::kEdgeCountOverflow;
     AddFinding(report.findings, kind, 1, counts.message());
   }
-
-  const Status csr = CheckCsr(n, m, g.offsets(), g.adjacency());
-  if (!csr.ok()) {
-    // CheckCsr stops at the first structural defect; classify it by message
-    // prefix so doctor output stays precise.
-    FindingKind kind = FindingKind::kOffsetsBadBounds;
-    if (csr.message().find("not monotonic") != std::string::npos) {
-      kind = FindingKind::kOffsetsNotMonotonic;
-    } else if (csr.message().find("adjacency[") != std::string::npos) {
-      kind = FindingKind::kAdjacencyOutOfRange;
-    }
-    AddFinding(report.findings, kind, 1, csr.message());
-    return report;  // Row scans below would index out of bounds.
-  }
-
-  int64_t self_loops = 0, unsorted_rows = 0, duplicate_entries = 0,
-          asymmetric = 0;
-  std::string first_loop, first_unsorted, first_dup, first_asym;
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    const auto nbrs = g.neighbors(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      if (nbrs[i] == u && self_loops++ == 0) {
-        first_loop = "vertex " + std::to_string(u) + " lists itself";
-      }
-      if (i > 0 && nbrs[i] < nbrs[i - 1] && unsorted_rows++ == 0) {
-        first_unsorted = "row of vertex " + std::to_string(u) +
-                         " is not sorted at position " + std::to_string(i);
-      }
-      if (i > 0 && nbrs[i] == nbrs[i - 1] && duplicate_entries++ == 0) {
-        first_dup = "vertex " + std::to_string(u) + " lists neighbor " +
-                    std::to_string(nbrs[i]) + " twice";
-      }
-      if (nbrs[i] != u && !g.HasEdge(nbrs[i], u) && asymmetric++ == 0) {
-        first_asym = "edge (" + std::to_string(u) + ", " +
-                     std::to_string(nbrs[i]) + ") has no mirror entry";
-      }
-    }
-  }
-  AddFinding(report.findings, FindingKind::kSelfLoop, self_loops, first_loop);
-  AddFinding(report.findings, FindingKind::kAdjacencyUnsorted, unsorted_rows,
-             first_unsorted);
-  AddFinding(report.findings, FindingKind::kDuplicateEdge, duplicate_entries,
-             first_dup);
-  AddFinding(report.findings, FindingKind::kAsymmetricAdjacency, asymmetric,
-             first_asym);
 
   // Wedge count bounds the triangle accumulator; warn before an int64 sum
   // could wrap. Accumulate in 128 bits so the check itself cannot overflow.

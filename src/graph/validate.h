@@ -23,18 +23,13 @@ enum class FindingKind {
   kUnsortedEdges,       // Edges not in canonical (u < v, sorted) order.
   // Structural (never repairable).
   kEndpointOutOfRange,  // Endpoint id >= declared vertex count.
-  kOffsetsNotMonotonic, // CSR offsets decrease somewhere.
-  kOffsetsBadBounds,    // offsets[0] != 0 or offsets[n] != adjacency size.
-  kAdjacencyOutOfRange, // CSR neighbor id >= vertex count.
-  kAdjacencyUnsorted,   // A CSR row is not sorted by neighbor id.
-  kAsymmetricAdjacency, // v in adj[u] but u not in adj[v].
   // Capacity (never repairable; caught before they become allocations).
   kVertexCountOverflow, // Vertex count exceeds what VertexId can index.
   kEdgeCountOverflow,   // Edge count exceeds the configured/physical cap.
   kTriangleOverflowRisk,// Wedge count could overflow the int64 triangle sum.
 };
 
-/// Stable identifier, e.g. "self-loop", "offsets-not-monotonic".
+/// Stable identifier, e.g. "self-loop", "endpoint-out-of-range".
 const char* FindingKindName(FindingKind kind);
 
 /// True if normalization (drop self loops, dedup, sort) removes the defect.
@@ -70,8 +65,10 @@ enum class RepairPolicy {
   kRepair,  // Normalize away repairable findings; fail only on structural.
 };
 
-/// Scans edge lists / CSR graphs for the defects crafted or corrupt inputs
-/// exhibit, and optionally repairs the benign ones. Pure analysis: never
+/// Scans edge lists for the defects crafted or corrupt inputs exhibit, and
+/// optionally repairs the benign ones. A Graph is canonical by construction
+/// (Graph::FromEdgeList normalizes, Graph::FromCsr checks), so a Graph scan
+/// looks only at what a canonical graph can still fail. Pure analysis: never
 /// aborts, never logs; everything is reported through ValidationReport /
 /// Status values.
 class GraphDoctor {
@@ -93,13 +90,15 @@ class GraphDoctor {
   /// endpoints beyond the declared universe, capacity overflows.
   ValidationReport Examine(const EdgeList& list) const;
 
-  /// Scans a built CSR graph: offset monotonicity/bounds, neighbor range,
-  /// row sortedness, adjacency symmetry, triangle-count overflow risk.
+  /// Scans a Graph in O(n): this doctor's count caps and the risk that the
+  /// wedge count overflows the int64 triangle sum. The CSR structure is not
+  /// re-checked; the Graph factories established it.
   ValidationReport Examine(const Graph& g) const;
 
-  /// Raw-CSR check used by LoadBinary before a Graph exists. `offsets` must
-  /// have n+1 entries; `adj` is the full adjacency array. Returns the first
-  /// structural defect as DataLoss, or OkStatus().
+  /// Raw-CSR structure check, run by Graph::FromCsr and the edge-list loader
+  /// before any row is indexed: `offsets` has n+1 entries, starts at 0, never
+  /// decreases and ends at 2m; `adj` has 2m entries, each below n. Returns
+  /// the first defect as DataLoss, or OkStatus().
   static Status CheckCsr(uint64_t num_vertices, uint64_t num_edges,
                          std::span<const EdgeCount> offsets,
                          std::span<const VertexId> adj);

@@ -136,32 +136,20 @@ void RecordExecution(const StatusOr<ExecutionResult>& executed,
   report->status = OkStatus();
 }
 
-int BatchSummary::CountOutcome(RequestOutcome outcome) const {
-  int count = 0;
-  for (const RequestReport& r : reports) {
-    if (r.outcome == outcome) ++count;
-  }
-  return count;
+int64_t BatchSummary::Total() const {
+  int64_t total = 0;
+  for (int64_t count : outcomes) total += count;
+  return total;
 }
 
 bool BatchSummary::AllSucceeded() const {
-  for (const RequestReport& r : reports) {
-    if (r.outcome == RequestOutcome::kRejected ||
-        r.outcome == RequestOutcome::kFailed) {
-      return false;
-    }
-  }
-  return true;
+  return CountOutcome(RequestOutcome::kRejected) == 0 &&
+         CountOutcome(RequestOutcome::kFailed) == 0;
 }
 
 bool BatchSummary::NoneSucceeded() const {
-  for (const RequestReport& r : reports) {
-    if (r.outcome == RequestOutcome::kOk ||
-        r.outcome == RequestOutcome::kDegraded) {
-      return false;
-    }
-  }
-  return true;
+  return CountOutcome(RequestOutcome::kOk) == 0 &&
+         CountOutcome(RequestOutcome::kDegraded) == 0;
 }
 
 BatchService::BatchService(BatchServiceOptions options)
@@ -296,7 +284,7 @@ BatchSummary BatchService::Finish() {
   BatchSummary summary;
   {
     std::lock_guard<std::mutex> lock(journal_mu_);
-    summary.reports = journal_;
+    summary.outcomes = outcomes_;
   }
   summary.drained = draining();
   {
@@ -368,7 +356,7 @@ void BatchService::Process(int worker_index, QueuedRequest queued) {
     report.status = std::move(status);
     report.exec_ms = MillisBetween(picked_up, Clock::now());
     request_span.SetAttr("outcome", RequestOutcomeName(outcome));
-    Journal(std::move(report), request_span.id());
+    Journal(report, request_span.id());
   };
 
   const Status worker_fault = CheckFailPoint("service.worker");
@@ -674,7 +662,7 @@ void BatchService::FeedBreakers(const std::vector<FallbackStage>& allowed,
   }
 }
 
-void BatchService::Journal(RequestReport report, uint64_t parent_span) {
+void BatchService::Journal(const RequestReport& report, uint64_t parent_span) {
   {
     Span journal_span =
         options_.tracer != nullptr
@@ -698,8 +686,8 @@ void BatchService::Journal(RequestReport report, uint64_t parent_span) {
                     "Worker processing time in milliseconds", 0.0, 10000.0, 20)
       .Observe(report.exec_ms);
   std::lock_guard<std::mutex> lock(journal_mu_);
-  journal_.push_back(std::move(report));
-  if (on_report_) on_report_(journal_.back());
+  ++outcomes_[static_cast<size_t>(report.outcome)];
+  if (on_report_) on_report_(report);
 }
 
 RequestReport BatchService::RejectedReport(const BatchRequest& request,

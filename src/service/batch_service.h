@@ -1,6 +1,7 @@
 #ifndef GPUTC_SERVICE_BATCH_SERVICE_H_
 #define GPUTC_SERVICE_BATCH_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -104,6 +105,7 @@ enum class RequestOutcome {
               // or every backend's breaker open.
   kFailed     // Execution started and did not produce a count.
 };
+inline constexpr size_t kNumRequestOutcomes = 4;
 
 /// Stable lower-case name ("ok", "degraded", "rejected", "failed").
 const char* RequestOutcomeName(RequestOutcome outcome);
@@ -150,14 +152,20 @@ void RecordExecution(const StatusOr<ExecutionResult>& executed,
                      const ExecutionTrace& trace, const std::string& primary,
                      RequestReport* report);
 
-/// Everything Finish returns: the journal (in completion order) plus drain
-/// metadata and outcome tallies.
+/// Everything Finish returns: how many reports the service journaled, per
+/// outcome and in total, plus drain metadata. The reports themselves are not
+/// kept; they stream through BatchService::set_on_report.
 struct BatchSummary {
-  std::vector<RequestReport> reports;
+  /// Journaled reports per outcome, indexed by RequestOutcome.
+  std::array<int64_t, kNumRequestOutcomes> outcomes = {};
   bool drained = false;
   std::string drain_reason;
 
-  int CountOutcome(RequestOutcome outcome) const;
+  int64_t CountOutcome(RequestOutcome outcome) const {
+    return outcomes[static_cast<size_t>(outcome)];
+  }
+  /// Every journaled report, whatever its outcome.
+  int64_t Total() const;
   /// True when every report is kOk or kDegraded.
   bool AllSucceeded() const;
   /// True when no report is kOk or kDegraded.
@@ -190,11 +198,13 @@ class BatchService {
   void RequestDrain(std::string reason);
 
   /// Closes intake, runs the queue dry (or drains), joins every thread and
-  /// returns the complete journal. Call once.
+  /// returns the outcome counts. Call once.
   BatchSummary Finish();
 
   /// Streaming hook invoked once per journal entry as it is produced, in
-  /// journal order (serialized by the journal lock). Set before Start.
+  /// journal order (serialized by the journal lock). The service keeps no
+  /// report once the hook returns, so this is the only way to see one. Set
+  /// before Start.
   void set_on_report(std::function<void(const RequestReport&)> hook) {
     on_report_ = std::move(hook);
   }
@@ -233,9 +243,10 @@ class BatchService {
                        RequestReport* report, uint64_t parent_span_id,
                        const std::function<void(RequestOutcome, Status)>&
                            finish);
-  /// Appends the report and fires the streaming hook. `parent_span` (with
-  /// the report's trace_id) parents the "journal" span when tracing is on.
-  void Journal(RequestReport report, uint64_t parent_span = 0);
+  /// Counts the report's outcome and fires the streaming hook. `parent_span`
+  /// (with the report's trace_id) parents the "journal" span when tracing is
+  /// on.
+  void Journal(const RequestReport& report, uint64_t parent_span = 0);
   RequestReport RejectedReport(const BatchRequest& request, Status reason,
                                double queue_ms) const;
   /// Applies the per-stage outcomes of one executed request to the breaker
@@ -263,7 +274,8 @@ class BatchService {
   std::atomic<bool> finished_{false};
 
   mutable std::mutex journal_mu_;
-  std::vector<RequestReport> journal_;
+  // Journaled reports per outcome.
+  std::array<int64_t, kNumRequestOutcomes> outcomes_ = {};
   std::function<void(const RequestReport&)> on_report_;
 
   mutable std::mutex state_mu_;  // Guards slots_, drain metadata.

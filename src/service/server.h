@@ -117,7 +117,7 @@ struct ServerSummary {
   /// slowloris kills.
   int64_t protocol_errors = 0;
   std::string drain_reason;
-  /// The underlying service's complete journal.
+  /// The underlying service's outcome counts.
   BatchSummary batch;
 };
 

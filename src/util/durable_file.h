@@ -46,10 +46,24 @@ namespace gputc {
 
 /// CRC32C (Castagnoli polynomial, as used by ext4, RocksDB, and gRPC).
 /// `seed` chains partial computations: Crc32c(b, nb, Crc32c(a, na)).
+/// Runs on the SSE4.2 crc32 instruction when the CPU has it (checked once)
+/// and on a lookup table otherwise; both give the same value for every input.
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
 inline uint32_t Crc32c(std::string_view data, uint32_t seed = 0) {
   return Crc32c(data.data(), data.size(), seed);
 }
+
+// The two implementations Crc32c chooses between, declared so tests can check
+// each one. Callers use Crc32c.
+
+/// The table implementation; the only one on CPUs without SSE4.2 and off
+/// x86-64.
+uint32_t Crc32cTable(const void* data, size_t size, uint32_t seed);
+/// True when this CPU runs Crc32cSse42 in hardware (x86-64 with SSE4.2).
+bool Crc32cSse42Available();
+/// The crc32-instruction implementation. Call only when
+/// Crc32cSse42Available(); off x86-64 it is the table implementation.
+uint32_t Crc32cSse42(const void* data, size_t size, uint32_t seed);
 
 /// One record frame: [u32 payload_len][u32 crc32c(payload)][payload], little
 /// endian. The segment log stores its records in it and the worker pipes

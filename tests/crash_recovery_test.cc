@@ -261,6 +261,26 @@ TEST_F(CrashRecoveryTest, ExitCodeContract) {
                       out})
                 .exit_code,
             2);
+  // 3: a v1 CSR whose rows are not mirrored (row 2 lists 1; rows 1 and 2
+  // lack 2 and 0), strict or not.
+  const std::string asym = dir_ + "/asym.bin";
+  {
+    std::ofstream bin(asym, std::ios::binary);
+    const uint64_t header[] = {0x4354555047525048ull, 3, 2};
+    const int64_t offsets[] = {0, 2, 3, 4};
+    const uint32_t adj[] = {1, 2, 0, 1};
+    bin.write(reinterpret_cast<const char*>(header), sizeof(header));
+    bin.write(reinterpret_cast<const char*>(offsets), sizeof(offsets));
+    bin.write(reinterpret_cast<const char*>(adj), sizeof(adj));
+  }
+  for (const bool strict : {false, true}) {
+    std::vector<std::string> args = {"info", "--in", asym};
+    if (strict) args.push_back("--strict");
+    const ChildResult info = RunGputc(args);
+    EXPECT_EQ(info.exit_code, 3) << info.stderr_text;
+    EXPECT_NE(info.stderr_text.find("not canonical"), std::string::npos)
+        << info.stderr_text;
+  }
 }
 
 /// code -> name pairs of an exit-code table: lines that start with

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -49,6 +51,55 @@ TEST(Crc32cTest, KnownVectors) {
   // 32 zero bytes, another standard vector.
   const std::string zeros(32, '\0');
   EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+}
+
+// Crc32c picks one of two implementations per CPU; each must agree with the
+// standard vectors on its own.
+void ExpectKnownVectors(uint32_t (*crc)(const void*, size_t, uint32_t)) {
+  EXPECT_EQ(crc("123456789", 9, 0), 0xE3069283u);
+  EXPECT_EQ(crc("", 0, 0), 0u);
+  const std::string zeros(32, '\0');
+  EXPECT_EQ(crc(zeros.data(), zeros.size(), 0), 0x8A9136AAu);
+  const std::string ones(32, '\xff');
+  EXPECT_EQ(crc(ones.data(), ones.size(), 0), 0x62A8AB43u);
+}
+
+TEST(Crc32cTest, TablePathMatchesKnownVectors) {
+  ExpectKnownVectors(&Crc32cTable);
+}
+
+TEST(Crc32cTest, Sse42PathMatchesKnownVectors) {
+  if (!Crc32cSse42Available()) GTEST_SKIP() << "CPU lacks SSE4.2";
+  ExpectKnownVectors(&Crc32cSse42);
+}
+
+TEST(Crc32cTest, Sse42PathMatchesTableOnEveryShape) {
+  if (!Crc32cSse42Available()) GTEST_SKIP() << "CPU lacks SSE4.2";
+  std::mt19937_64 rng(20240607);
+  std::vector<unsigned char> buffer((size_t{1} << 20) + 8);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng());
+  // Every length up to a few words at every alignment, so the 8-byte loop
+  // and the byte tail meet at each offset.
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const unsigned char* p = buffer.data() + align;
+      EXPECT_EQ(Crc32cSse42(p, length, 0), Crc32cTable(p, length, 0))
+          << "length " << length << ", alignment " << align;
+    }
+  }
+  const size_t mib = size_t{1} << 20;
+  EXPECT_EQ(Crc32cSse42(buffer.data(), mib, 0),
+            Crc32cTable(buffer.data(), mib, 0));
+  // Chained seeds: each piece seeded with the previous piece's CRC, split at
+  // odd offsets, lands on the whole buffer's CRC on both paths.
+  uint32_t hardware = 0, table = 0;
+  for (size_t at = 0, piece = 1; at < mib; at += piece, piece = piece * 3 + 1) {
+    const size_t length = std::min(piece, mib - at);
+    hardware = Crc32cSse42(buffer.data() + at, length, hardware);
+    table = Crc32cTable(buffer.data() + at, length, table);
+    EXPECT_EQ(hardware, table) << "piece at " << at;
+  }
+  EXPECT_EQ(hardware, Crc32cTable(buffer.data(), mib, 0));
 }
 
 TEST(Crc32cTest, SeedChainsPartialComputations) {

@@ -183,6 +183,31 @@ TEST_F(CorruptFileTest, NonCanonicalCsrRejectedStrictButRepairable) {
   EXPECT_EQ(repaired->num_edges(), 1);  // Only (1, 2) survives.
 }
 
+TEST_F(CorruptFileTest, AsymmetricCsrRejected) {
+  const std::string path = Path("asym.bin");
+  // Row 0 = [1, 2], row 1 = [0], row 2 = [1]: row 2 lists 1, but row 1 lacks
+  // 2 and row 2 lacks 0. Lifting upper entries alone would read {(0,1),(0,2)}.
+  WriteCrafted(path, kMagic, /*n=*/3, /*m=*/2, {0, 2, 3, 4}, {1, 2, 0, 1});
+  const StatusOr<Graph> g = LoadBinary(path);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(g.status().message().find("not canonical"), std::string::npos);
+  EXPECT_NE(g.status().message().find("edge (0, 2)"), std::string::npos)
+      << g.status().ToString();
+}
+
+TEST_F(CorruptFileTest, UnsortedSymmetricRowsRejected) {
+  const std::string path = Path("unsorted.bin");
+  // Rows [2, 1], [0], [0]: symmetric, but row 0 is out of order.
+  WriteCrafted(path, kMagic, /*n=*/3, /*m=*/2, {0, 2, 3, 4}, {2, 1, 0, 0});
+  const StatusOr<Graph> g = LoadBinary(path);
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(g.status().message().find("not canonical"), std::string::npos);
+  EXPECT_NE(g.status().message().find("row 0"), std::string::npos)
+      << g.status().ToString();
+}
+
 TEST_F(CorruptFileTest, ValidFileStillRoundTrips) {
   const Graph g = GenerateErdosRenyi(60, 150, /*seed=*/7);
   const std::string path = Path("valid.bin");

@@ -17,6 +17,7 @@
 #include "obs/trace.h"
 #include "service/batch_service.h"
 #include "util/deadline.h"
+#include "report_log.h"
 
 namespace gputc {
 namespace {
@@ -314,14 +315,16 @@ TEST(ObsServiceTest, EveryJournalLineCarriesAUniqueTraceIdWithASpanTree) {
   options.preprocess.calibrate = false;
   options.tracer = &tracer;
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   constexpr int kRequests = 6;
   for (int i = 0; i < kRequests; ++i) service.Submit(GenRequest(i));
-  const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), static_cast<size_t>(kRequests));
+  service.Finish();
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), static_cast<size_t>(kRequests));
 
   std::set<uint64_t> ids;
-  for (const RequestReport& report : summary.reports) {
+  for (const RequestReport& report : reports) {
     EXPECT_NE(report.trace_id, 0u) << report.id;
     EXPECT_TRUE(ids.insert(report.trace_id).second)
         << "trace id reused by " << report.id;
@@ -337,7 +340,7 @@ TEST(ObsServiceTest, EveryJournalLineCarriesAUniqueTraceIdWithASpanTree) {
   // cover admit -> execute -> journal, with the executor's attempt (and the
   // pipeline stages under it) threaded below "execute".
   const std::vector<SpanRecord> spans = tracer.Snapshot();
-  for (const RequestReport& report : summary.reports) {
+  for (const RequestReport& report : reports) {
     std::vector<const SpanRecord*> mine;
     for (const SpanRecord& s : spans) {
       if (s.trace_id == report.trace_id) mine.push_back(&s);

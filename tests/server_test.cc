@@ -664,7 +664,7 @@ TEST_F(ServerTest, DrainDeliversInflightResponsesBeforeClosing) {
   const ServerSummary& summary = StopServer("late reason loses");
   EXPECT_EQ(summary.drain_reason, "drain test");
   EXPECT_EQ(summary.responses_sent, 1);
-  EXPECT_TRUE(summary.batch.drained || summary.batch.reports.size() == 1);
+  EXPECT_TRUE(summary.batch.drained || summary.batch.Total() == 1);
 }
 
 TEST_F(ServerTest, RecoveredRequestResolvesWithoutAConnection) {
@@ -675,8 +675,9 @@ TEST_F(ServerTest, RecoveredRequestResolvesWithoutAConnection) {
   ASSERT_TRUE(server_->SubmitRecovered("net-0-7", kSmallGen).ok());
   EXPECT_TRUE(WaitForReport("net-0-7"));
   const ServerSummary& summary = StopServer();
-  ASSERT_EQ(summary.batch.reports.size(), 1u);
-  EXPECT_EQ(summary.batch.reports[0].id, "net-0-7");
+  EXPECT_EQ(summary.batch.Total(), 1);
+  ASSERT_EQ(reports_.size(), 1u);
+  EXPECT_EQ(reports_[0].id, "net-0-7");
   EXPECT_EQ(summary.responses_sent, 0);
 }
 
@@ -719,7 +720,7 @@ TEST_F(ServerTest, RunEpochKeepsGeneratedIdsDisjointFromRecoveredOnes) {
   // The recovered request resolved into the journal only; the client got
   // exactly its own response, never the recovered one.
   EXPECT_EQ(summary.responses_sent, 1);
-  EXPECT_EQ(summary.batch.reports.size(), 2u);
+  EXPECT_EQ(summary.batch.Total(), 2);
 }
 
 TEST_F(ServerTest, DuplicateRecoveredIdIsRefusedWhileRegistered) {
@@ -744,7 +745,7 @@ TEST_F(ServerTest, DuplicateRecoveredIdIsRefusedWhileRegistered) {
   cv.notify_all();
   EXPECT_TRUE(WaitForReport("net-0-1"));
   const ServerSummary& summary = StopServer();
-  ASSERT_EQ(summary.batch.reports.size(), 1u);
+  EXPECT_EQ(summary.batch.Total(), 1);
 }
 
 // -- Health listener --------------------------------------------------------

@@ -5,6 +5,7 @@
 // load. The whole file runs under TSan/ASan in CI.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <chrono>
@@ -13,6 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -24,6 +26,8 @@
 #include "service/work_queue.h"
 #include "util/deadline.h"
 #include "util/failpoint.h"
+#include "util/version.h"
+#include "report_log.h"
 
 namespace gputc {
 namespace {
@@ -411,9 +415,10 @@ class BatchServiceTest : public ::testing::Test {
     return request;
   }
 
-  static std::set<std::string> ReportIds(const BatchSummary& summary) {
+  static std::set<std::string> ReportIds(
+      const std::vector<RequestReport>& reports) {
     std::set<std::string> ids;
-    for (const RequestReport& report : summary.reports) {
+    for (const RequestReport& report : reports) {
       EXPECT_TRUE(ids.insert(report.id).second)
           << "request '" << report.id << "' journaled twice";
     }
@@ -426,16 +431,18 @@ TEST_F(BatchServiceTest, CleanBatchCountsEveryRequestOk) {
   options.jobs = 4;
   options.queue_depth = 8;
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   constexpr int kRequests = 8;
   for (int i = 0; i < kRequests; ++i) service.Submit(GenRequest(i));
   const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), static_cast<size_t>(kRequests));
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), static_cast<size_t>(kRequests));
   EXPECT_EQ(summary.CountOutcome(RequestOutcome::kOk), kRequests);
   EXPECT_TRUE(summary.AllSucceeded());
   EXPECT_FALSE(summary.drained);
-  EXPECT_EQ(ReportIds(summary).size(), static_cast<size_t>(kRequests));
-  for (const RequestReport& report : summary.reports) {
+  EXPECT_EQ(ReportIds(reports).size(), static_cast<size_t>(kRequests));
+  for (const RequestReport& report : reports) {
     EXPECT_GT(report.triangles, 0) << report.id;
     EXPECT_EQ(report.stage, "Hu") << report.id;
     EXPECT_EQ(report.attempts, 1) << report.id;
@@ -450,6 +457,7 @@ TEST_F(BatchServiceTest, PerRequestFailpointsOverrideInjectsInProcess) {
   BatchServiceOptions options;
   options.jobs = 1;  // Serial: completion order == submit order.
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   BatchRequest poisoned = GenRequest(0);
   // Three count-limited fires: one per Hu variant (base, no-aorder,
@@ -458,31 +466,34 @@ TEST_F(BatchServiceTest, PerRequestFailpointsOverrideInjectsInProcess) {
   poisoned.failpoints = "tc.block=internal@3";
   service.Submit(poisoned);
   service.Submit(GenRequest(1));
-  const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), 2u);
-  EXPECT_EQ(summary.reports[0].outcome, RequestOutcome::kDegraded);
-  EXPECT_EQ(summary.reports[0].stage, "cpu");
-  EXPECT_GT(summary.reports[0].triangles, 0);
-  EXPECT_EQ(summary.reports[1].outcome, RequestOutcome::kOk);
-  EXPECT_EQ(summary.reports[1].stage, "Hu");
+  service.Finish();
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].outcome, RequestOutcome::kDegraded);
+  EXPECT_EQ(reports[0].stage, "cpu");
+  EXPECT_GT(reports[0].triangles, 0);
+  EXPECT_EQ(reports[1].outcome, RequestOutcome::kOk);
+  EXPECT_EQ(reports[1].stage, "Hu");
 }
 
 TEST_F(BatchServiceTest, MalformedFailpointsOverrideFailsOnlyThatRequest) {
   BatchServiceOptions options;
   options.jobs = 1;
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   BatchRequest bad = GenRequest(0);
   bad.failpoints = "not-a-schedule";
   service.Submit(bad);
   service.Submit(GenRequest(1));
-  const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), 2u);
-  EXPECT_EQ(summary.reports[0].outcome, RequestOutcome::kFailed);
-  EXPECT_NE(summary.reports[0].status.message().find("failpoints override"),
+  service.Finish();
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].outcome, RequestOutcome::kFailed);
+  EXPECT_NE(reports[0].status.message().find("failpoints override"),
             std::string::npos)
-      << summary.reports[0].status.ToString();
-  EXPECT_EQ(summary.reports[1].outcome, RequestOutcome::kOk);
+      << reports[0].status.ToString();
+  EXPECT_EQ(reports[1].outcome, RequestOutcome::kOk);
 }
 
 TEST_F(BatchServiceTest, StreamingHookSeesEveryReportInJournalOrder) {
@@ -498,10 +509,10 @@ TEST_F(BatchServiceTest, StreamingHookSeesEveryReportInJournalOrder) {
   service.Start();
   for (int i = 0; i < 5; ++i) service.Submit(GenRequest(i));
   const BatchSummary summary = service.Finish();
-  ASSERT_EQ(streamed.size(), summary.reports.size());
-  for (size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(streamed[i], summary.reports[i].id);
-  }
+  ASSERT_EQ(static_cast<int64_t>(streamed.size()), summary.Total());
+  const std::set<std::string> ids(streamed.begin(), streamed.end());
+  EXPECT_EQ(ids.size(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(ids.count(GenRequest(i).id), 1u);
 }
 
 TEST_F(BatchServiceTest, RejectPolicyShedsButJournalsEverySubmission) {
@@ -521,6 +532,7 @@ TEST_F(BatchServiceTest, RejectPolicyShedsButJournalsEverySubmission) {
   options.queue_depth = 2;
   options.shed_policy = ShedPolicy::kReject;
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
 
   service.Submit(GenRequest(0));  // Picked up; parked in the observer.
@@ -537,11 +549,12 @@ TEST_F(BatchServiceTest, RejectPolicyShedsButJournalsEverySubmission) {
   }
   cv.notify_all();
   const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), 5u);
-  EXPECT_EQ(ReportIds(summary).size(), 5u);
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), 5u);
+  EXPECT_EQ(ReportIds(reports).size(), 5u);
   EXPECT_EQ(summary.CountOutcome(RequestOutcome::kOk), 3);
   EXPECT_EQ(summary.CountOutcome(RequestOutcome::kRejected), 2);
-  for (const RequestReport& report : summary.reports) {
+  for (const RequestReport& report : reports) {
     if (report.outcome == RequestOutcome::kRejected) {
       EXPECT_EQ(report.status.code(), StatusCode::kResourceExhausted);
       EXPECT_NE(report.status.ToString().find("reject"), std::string::npos);
@@ -563,6 +576,7 @@ TEST_F(BatchServiceTest, DropOldestEvictsQueuedWorkNotNewWork) {
   options.queue_depth = 1;
   options.shed_policy = ShedPolicy::kDropOldest;
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
 
   service.Submit(GenRequest(0));  // Parked in the worker.
@@ -576,9 +590,10 @@ TEST_F(BatchServiceTest, DropOldestEvictsQueuedWorkNotNewWork) {
     release = true;
   }
   cv.notify_all();
-  const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), 3u);
-  for (const RequestReport& report : summary.reports) {
+  service.Finish();
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), 3u);
+  for (const RequestReport& report : reports) {
     if (report.id == "1:gen:er") {
       EXPECT_EQ(report.outcome, RequestOutcome::kRejected);
       EXPECT_NE(report.status.ToString().find("drop-oldest"),
@@ -601,12 +616,14 @@ TEST_F(BatchServiceTest, OpenBreakerRoutesLaterRequestsPastTheBackend) {
   options.breaker.failure_threshold = 2;
   options.breaker.open_cooldown_ms = 1e9;  // Never half-opens in this test.
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   constexpr int kRequests = 6;
   for (int i = 0; i < kRequests; ++i) service.Submit(GenRequest(i));
   const BatchSummary summary = service.Finish();
+  const std::vector<RequestReport> reports = journal.reports();
 
-  ASSERT_EQ(summary.reports.size(), static_cast<size_t>(kRequests));
+  ASSERT_EQ(reports.size(), static_cast<size_t>(kRequests));
   // Every request still gets an answer via the cpu fallback.
   EXPECT_EQ(summary.CountOutcome(RequestOutcome::kDegraded), kRequests);
   // Requests 0 and 1 each burn 3 Hu variants; the breaker then opens and no
@@ -615,7 +632,7 @@ TEST_F(BatchServiceTest, OpenBreakerRoutesLaterRequestsPastTheBackend) {
   EXPECT_EQ(service.breakers().ForBackend("Hu").state(), State::kOpen);
   EXPECT_EQ(service.breakers().ForBackend("cpu").state(), State::kClosed);
   for (int i = 2; i < kRequests; ++i) {
-    EXPECT_EQ(summary.reports[i].attempts, 1)
+    EXPECT_EQ(reports[i].attempts, 1)
         << "request " << i << " should have skipped the benched backend";
   }
 }
@@ -626,15 +643,17 @@ TEST_F(BatchServiceTest, AllBreakersOpenRejectsInsteadOfExecuting) {
   options.breaker.failure_threshold = 1;
   options.breaker.open_cooldown_ms = 1e9;
   BatchService service(options);
+  const ReportLog journal(service);
   // Trip both backends before any request runs.
   service.breakers().ForBackend("Hu").RecordFailure();
   service.breakers().ForBackend("cpu").RecordFailure();
   service.Start();
   service.Submit(GenRequest(0));
   const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), 1u);
-  EXPECT_EQ(summary.reports[0].outcome, RequestOutcome::kRejected);
-  EXPECT_NE(summary.reports[0].status.ToString().find("circuit breaker"),
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].outcome, RequestOutcome::kRejected);
+  EXPECT_NE(reports[0].status.ToString().find("circuit breaker"),
             std::string::npos);
   EXPECT_TRUE(summary.NoneSucceeded());
 }
@@ -644,11 +663,13 @@ TEST_F(BatchServiceTest, WatchdogCancelsPastTheRequestDeadline) {
   options.jobs = 2;
   options.request_timeout_ms = 1.0;  // Expires before a scale-12 run ends.
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   for (int i = 0; i < 4; ++i) service.Submit(BigRequest(i));
-  const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), 4u);
-  for (const RequestReport& report : summary.reports) {
+  service.Finish();
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), 4u);
+  for (const RequestReport& report : reports) {
     EXPECT_EQ(report.outcome, RequestOutcome::kFailed) << report.id;
     EXPECT_EQ(report.status.code(), StatusCode::kCancelled) << report.id;
     EXPECT_NE(report.status.ToString().find("watchdog"), std::string::npos)
@@ -664,14 +685,16 @@ TEST_F(BatchServiceTest, PerRequestTimeoutOverridesTheBatchDefault) {
   options.jobs = 1;
   options.request_timeout_ms = 1.0;  // Would cancel BigRequest...
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   BatchRequest generous = BigRequest(1);
   generous.timeout_ms = 60'000.0;  // ...but the manifest override wins.
   service.Submit(generous);
-  const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), 1u);
-  EXPECT_EQ(summary.reports[0].outcome, RequestOutcome::kOk)
-      << summary.reports[0].status.ToString();
+  service.Finish();
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].outcome, RequestOutcome::kOk)
+      << reports[0].status.ToString();
 }
 
 TEST_F(BatchServiceTest, MemoryAdmissionSerializesOversubscribedRequests) {
@@ -684,14 +707,16 @@ TEST_F(BatchServiceTest, MemoryAdmissionSerializesOversubscribedRequests) {
   options.jobs = 2;
   options.mem_budget_bytes = one_request + one_request / 2;
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   service.Submit(GenRequest(0));
   service.Submit(GenRequest(1));
   const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), 2u);
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), 2u);
   EXPECT_TRUE(summary.AllSucceeded())
-      << summary.reports[0].status.ToString() << " / "
-      << summary.reports[1].status.ToString();
+      << reports[0].status.ToString() << " / "
+      << reports[1].status.ToString();
 }
 
 TEST_F(BatchServiceTest, ImpossibleMemoryDemandIsRejectedNotHung) {
@@ -699,14 +724,16 @@ TEST_F(BatchServiceTest, ImpossibleMemoryDemandIsRejectedNotHung) {
   options.jobs = 1;
   options.mem_budget_bytes = 16;  // Smaller than any real graph.
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   service.Submit(GenRequest(0));
-  const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), 1u);
-  EXPECT_EQ(summary.reports[0].outcome, RequestOutcome::kRejected);
-  EXPECT_EQ(summary.reports[0].status.code(),
+  service.Finish();
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].outcome, RequestOutcome::kRejected);
+  EXPECT_EQ(reports[0].status.code(),
             StatusCode::kResourceExhausted);
-  EXPECT_NE(summary.reports[0].status.ToString().find("admission"),
+  EXPECT_NE(reports[0].status.ToString().find("admission"),
             std::string::npos);
 }
 
@@ -729,12 +756,14 @@ TEST_F(BatchServiceTest, WarmCacheAdmitsWhatColdAdmissionRejects) {
 
   {  // Cold: the estimate exceeds the whole budget — rejected, not hung.
     BatchService service(options);
+    const ReportLog journal(service);
     service.Start();
     service.Submit(GenRequest(0));
-    const BatchSummary summary = service.Finish();
-    ASSERT_EQ(summary.reports.size(), 1u);
-    EXPECT_EQ(summary.reports[0].outcome, RequestOutcome::kRejected)
-        << summary.reports[0].status.ToString();
+    service.Finish();
+    const std::vector<RequestReport> reports = journal.reports();
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_EQ(reports[0].outcome, RequestOutcome::kRejected)
+        << reports[0].status.ToString();
   }
 
   // Warm an external cache under exactly the service's preprocessing config
@@ -748,12 +777,14 @@ TEST_F(BatchServiceTest, WarmCacheAdmitsWhatColdAdmissionRejects) {
 
   options.prep_cache = &cache;
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   service.Submit(GenRequest(0));
-  const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), 1u);
-  EXPECT_EQ(summary.reports[0].outcome, RequestOutcome::kOk)
-      << summary.reports[0].status.ToString();
+  service.Finish();
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].outcome, RequestOutcome::kOk)
+      << reports[0].status.ToString();
   EXPECT_GE(cache.stats().memory_hits, 1);
 }
 
@@ -767,12 +798,14 @@ TEST_F(BatchServiceTest, ServiceFailPointsShedOrFailButNeverDrop) {
   BatchServiceOptions options;
   options.jobs = 2;
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   constexpr int kRequests = 8;
   for (int i = 0; i < kRequests; ++i) service.Submit(GenRequest(i));
   const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), static_cast<size_t>(kRequests));
-  EXPECT_EQ(ReportIds(summary).size(), static_cast<size_t>(kRequests));
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), static_cast<size_t>(kRequests));
+  EXPECT_EQ(ReportIds(reports).size(), static_cast<size_t>(kRequests));
   // One enqueue shed, one admission shed, one worker fault; the rest count.
   EXPECT_EQ(summary.CountOutcome(RequestOutcome::kRejected), 2);
   EXPECT_EQ(summary.CountOutcome(RequestOutcome::kFailed), 1);
@@ -783,18 +816,20 @@ TEST_F(BatchServiceTest, InvalidFallbackOverrideFailsOnlyThatRequest) {
   BatchServiceOptions options;
   options.jobs = 1;
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   BatchRequest bad = GenRequest(0);
   bad.fallback = "hu,hu";  // Duplicate stages are rejected at parse time.
   service.Submit(bad);
   service.Submit(GenRequest(1));
-  const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), 2u);
-  EXPECT_EQ(summary.reports[0].outcome, RequestOutcome::kFailed);
-  EXPECT_EQ(summary.reports[0].status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(summary.reports[0].status.ToString().find("duplicate"),
+  service.Finish();
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].outcome, RequestOutcome::kFailed);
+  EXPECT_EQ(reports[0].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reports[0].status.ToString().find("duplicate"),
             std::string::npos);
-  EXPECT_EQ(summary.reports[1].outcome, RequestOutcome::kOk);
+  EXPECT_EQ(reports[1].outcome, RequestOutcome::kOk);
 }
 
 TEST_F(BatchServiceTest, DrainUnderLoadAccountsForEveryRequest) {
@@ -803,6 +838,7 @@ TEST_F(BatchServiceTest, DrainUnderLoadAccountsForEveryRequest) {
   options.queue_depth = 4;
   options.drain_grace_ms = 50.0;
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   constexpr int kRequests = 24;
   std::thread producer([&] {
@@ -813,14 +849,15 @@ TEST_F(BatchServiceTest, DrainUnderLoadAccountsForEveryRequest) {
   service.RequestDrain("test drain");
   producer.join();
   const BatchSummary summary = service.Finish();
+  const std::vector<RequestReport> reports = journal.reports();
 
   EXPECT_TRUE(summary.drained);
   EXPECT_EQ(summary.drain_reason, "test drain");
   // The accounting invariant: every submitted request journals exactly once,
   // whatever mix of completed/cancelled/flushed/refused the drain produced.
-  ASSERT_EQ(summary.reports.size(), static_cast<size_t>(kRequests));
-  EXPECT_EQ(ReportIds(summary).size(), static_cast<size_t>(kRequests));
-  for (const RequestReport& report : summary.reports) {
+  ASSERT_EQ(reports.size(), static_cast<size_t>(kRequests));
+  EXPECT_EQ(ReportIds(reports).size(), static_cast<size_t>(kRequests));
+  for (const RequestReport& report : reports) {
     if (report.outcome == RequestOutcome::kRejected ||
         report.outcome == RequestOutcome::kFailed) {
       EXPECT_FALSE(report.status.ok()) << report.id;
@@ -839,6 +876,7 @@ TEST_F(BatchServiceTest, MetricsSnapshotsStaySafeWhileBatchDrains) {
   options.queue_depth = 8;
   options.drain_grace_ms = 50.0;
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
 
   // Seed one series so the exporter has something to render even before the
@@ -866,24 +904,77 @@ TEST_F(BatchServiceTest, MetricsSnapshotsStaySafeWhileBatchDrains) {
   constexpr int kRequests = 16;
   for (int i = 0; i < kRequests; ++i) service.Submit(GenRequest(i));
   service.RequestDrain("metrics snapshot test");
-  const BatchSummary summary = service.Finish();
+  service.Finish();
+  const std::vector<RequestReport> reports = journal.reports();
   stop_snapshots.store(true, std::memory_order_release);
   exporter.join();
 
-  EXPECT_EQ(summary.reports.size(), static_cast<size_t>(kRequests));
+  EXPECT_EQ(reports.size(), static_cast<size_t>(kRequests));
+}
+
+// Soak: once a report is journaled the service keeps nothing of it, so live
+// heap stays flat however long the service runs. glibc's mallinfo2 counts
+// the bytes malloc has handed out; the sanitizers replace malloc, so the
+// test needs a plain build.
+TEST_F(BatchServiceTest, LiveHeapStaysFlatOverManyRequests) {
+  if (std::string_view(SanitizerConfig()) != "none") {
+    GTEST_SKIP() << "sanitizer builds replace malloc";
+  }
+  BatchServiceOptions options;
+  options.jobs = 4;
+  options.queue_depth = 64;
+  options.preprocess.calibrate = false;
+  BatchService service(options);
+  std::mutex mu;
+  std::condition_variable cv;
+  int64_t journaled = 0;
+  service.set_on_report([&](const RequestReport&) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++journaled;
+    cv.notify_all();
+  });
+  service.Start();
+
+  // Ids as long as a harness's "<seq>:<path>" ids, on a 4-vertex graph.
+  const std::string path =
+      "bench-work/service-mix-s1/inputs/rmat-s12-ef8-seed17.bin";
+  constexpr int kRequests = 100'000;
+  size_t heap_at_half = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    if (i == kRequests / 2) {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return journaled == i; });
+      heap_at_half = mallinfo2().uordblks;
+    }
+    BatchRequest request;
+    request.id = std::to_string(i) + ":" + path;
+    request.source = path;
+    request.kind = BatchRequest::Kind::kGenerate;
+    request.target = "er";
+    request.params = {{"nodes", "4"}, {"edges", "5"}, {"seed", "1"}};
+    service.Submit(std::move(request));
+  }
+  const BatchSummary summary = service.Finish();
+  const size_t heap_at_end = mallinfo2().uordblks;
+  EXPECT_EQ(summary.CountOutcome(RequestOutcome::kOk), kRequests);
+  EXPECT_LE(heap_at_end, heap_at_half + (size_t{1} << 20))
+      << "live heap grew " << (heap_at_end - heap_at_half)
+      << " bytes over the second " << kRequests / 2 << " requests";
 }
 
 TEST_F(BatchServiceTest, DrainBeforeStartRejectsEverything) {
   BatchServiceOptions options;
   options.jobs = 2;
   BatchService service(options);
+  const ReportLog journal(service);
   service.Start();
   service.RequestDrain("pre-drain");
   for (int i = 0; i < 3; ++i) service.Submit(GenRequest(i));
   const BatchSummary summary = service.Finish();
-  ASSERT_EQ(summary.reports.size(), 3u);
+  const std::vector<RequestReport> reports = journal.reports();
+  ASSERT_EQ(reports.size(), 3u);
   EXPECT_EQ(summary.CountOutcome(RequestOutcome::kRejected), 3);
-  for (const RequestReport& report : summary.reports) {
+  for (const RequestReport& report : reports) {
     EXPECT_EQ(report.status.code(), StatusCode::kCancelled) << report.id;
   }
 }

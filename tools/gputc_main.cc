@@ -206,16 +206,17 @@ int Usage() {
   return kExitUsage;
 }
 
-/// Loads the graph named by --dataset or --in. `strict` routes file input
+/// Loads the graph named by --dataset or --in. `strict` routes text input
 /// through GraphDoctor with the reject policy, so inputs that need repair
-/// fail with exit 3 instead of being silently normalized.
+/// fail with exit 3 instead of being silently normalized. A .bin input is
+/// strict either way: LoadBinary refuses any CSR that is not canonical.
 StatusOr<Graph> LoadAny(const FlagParser& flags, bool strict) {
   if (flags.Has("dataset")) {
     return TryLoadDataset(flags.GetString("dataset", ""));
   }
   if (flags.Has("in")) {
     const std::string path = flags.GetString("in", "");
-    if (!strict) return LoadGraph(path);
+    if (!strict || path.ends_with(".bin")) return LoadGraph(path);
     StatusOr<EdgeList> list = LoadEdgeList(path);
     if (!list.ok()) return list.status();
     StatusOr<Graph> g =
@@ -1151,7 +1152,7 @@ int CmdBatch(const FlagParser& flags) {
   (void)ExportMetrics(svc.metrics_out);
 
   // Human-readable recap on stderr so a journal piped from stdout stays pure.
-  std::cerr << "batch: " << summary.reports.size() << " requests — "
+  std::cerr << "batch: " << summary.Total() << " requests — "
             << summary.CountOutcome(RequestOutcome::kOk) << " ok, "
             << summary.CountOutcome(RequestOutcome::kDegraded)
             << " degraded, "
@@ -1180,20 +1181,21 @@ int CmdBatch(const FlagParser& flags) {
                              "re-run with --wal " + svc.wal_dir +
                                  " --resume to finish the manifest");
   }
-  if (replayed_ids.size() + summary.reports.size() != manifest->size()) {
+  const int64_t journaled =
+      static_cast<int64_t>(replayed_ids.size()) + summary.Total();
+  if (journaled != static_cast<int64_t>(manifest->size())) {
     // Accounting invariant: every manifest request journals exactly once —
     // either replayed verbatim from the WAL or freshly reported.
-    std::cerr << "error: journal incomplete ("
-              << replayed_ids.size() + summary.reports.size() << " of "
+    std::cerr << "error: journal incomplete (" << journaled << " of "
               << manifest->size() << " requests)\n";
     return kExitRuntime;
   }
-  const int success = replayed_success +
-                      summary.CountOutcome(RequestOutcome::kOk) +
-                      summary.CountOutcome(RequestOutcome::kDegraded);
-  const int nonsuccess = replayed_nonsuccess +
-                         summary.CountOutcome(RequestOutcome::kRejected) +
-                         summary.CountOutcome(RequestOutcome::kFailed);
+  const int64_t success = replayed_success +
+                          summary.CountOutcome(RequestOutcome::kOk) +
+                          summary.CountOutcome(RequestOutcome::kDegraded);
+  const int64_t nonsuccess = replayed_nonsuccess +
+                             summary.CountOutcome(RequestOutcome::kRejected) +
+                             summary.CountOutcome(RequestOutcome::kFailed);
   if (nonsuccess == 0) return kExitOk;
   if (success == 0) return kExitExhausted;
   return kExitPartial;
@@ -1354,7 +1356,7 @@ int CmdServe(const FlagParser& flags) {
             << summary.responses_sent << " response(s) delivered, "
             << summary.overload_rejections << " overload rejection(s), "
             << summary.protocol_errors << " protocol error(s); journal has "
-            << summary.batch.reports.size() << " service outcome(s)\n";
+            << summary.batch.Total() << " service outcome(s)\n";
   if (journal.stopped()) {
     return ReportStorageStop("serve", journal,
                              "restart with --wal " + svc.wal_dir + " --resume");
