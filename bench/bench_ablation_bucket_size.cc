@@ -33,7 +33,9 @@ void Main() {
     // Blocks still own threads_per_block-vertex ranges; the sweep varies
     // only the granularity A-order packs at.
     const double ms = HuCounter().Count(relabeled, spec).kernel.millis;
-    table.AddRow({FmtCount(bucket), Fmt(order.imbalance_cost, 0), Fmt(ms, 3)});
+    const double cost =
+        OrderingImbalanceCost(degs, order.perm, bucket, model);
+    table.AddRow({FmtCount(bucket), Fmt(cost, 0), Fmt(ms, 3)});
   }
   table.Print(std::cout);
   std::cout << "\nReading: packing at the device's block granularity "

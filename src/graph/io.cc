@@ -1,5 +1,6 @@
 #include "graph/io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -363,22 +364,68 @@ StatusOr<CsrSections> ReadBinaryCsr(const std::string& path) {
 
 }  // namespace
 
-StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path) {
+StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path,
+                                      ValidationReport* report) {
   GPUTC_ASSIGN_OR_RETURN(const CsrSections csr, ReadBinaryCsr(path));
   const uint64_t n = csr.offsets.size() - 1;
   GPUTC_RETURN_IF_ERROR(
       GraphDoctor::CheckCsr(n, csr.adj.size() / 2, csr.offsets, csr.adj)
           .WithContext("LoadBinary('" + path + "')"));
 
+  // Rows here may be unsorted or list an entry twice, so "row u lists v" is
+  // a search over the sorted (row, entry) pairs.
+  std::vector<uint64_t> pairs;
+  pairs.reserve(csr.adj.size());
+  for (VertexId u = 0; u < n; ++u) {
+    for (EdgeCount i = csr.offsets[u]; i < csr.offsets[u + 1]; ++i) {
+      pairs.push_back(uint64_t{u} << 32 | csr.adj[static_cast<size_t>(i)]);
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  auto lists = [&pairs](VertexId row, VertexId v) {
+    return std::binary_search(pairs.begin(), pairs.end(),
+                              uint64_t{row} << 32 | v);
+  };
+
   // Structurally sound: lift into the staging edge list, preserving self
   // loops and duplicate entries for GraphDoctor to judge. Upper-triangle
-  // entries carry the edges; lower-triangle entries are the mirrors.
+  // entries carry the edges; a lower-triangle entry is a mirror, and adds
+  // its edge only when the upper entry is missing.
   EdgeList list(static_cast<VertexId>(n));
+  std::vector<Edge> mirror_only;
+  int64_t unmirrored = 0;
+  std::string first_unmirrored;
   for (VertexId u = 0; u < n; ++u) {
     for (EdgeCount i = csr.offsets[u]; i < csr.offsets[u + 1]; ++i) {
       const VertexId v = csr.adj[static_cast<size_t>(i)];
-      if (u <= v) list.Add(u, v);
+      const bool mirrored = lists(v, u);
+      if (!mirrored && unmirrored++ == 0) {
+        first_unmirrored = "row " + std::to_string(u) + " lists " +
+                           std::to_string(v) + " (adjacency[" +
+                           std::to_string(i) + "]), but row " +
+                           std::to_string(v) + " does not list " +
+                           std::to_string(u);
+      }
+      if (u <= v) {
+        list.Add(u, v);
+      } else if (!mirrored) {
+        mirror_only.push_back(Edge{v, u});
+      }
     }
+  }
+  if (!mirror_only.empty()) {
+    // Merge the recovered edges into place, so a CSR with sorted rows still
+    // lifts to a canonically ordered list.
+    std::vector<Edge>& edges = list.mutable_edges();
+    const bool sorted = std::is_sorted(edges.begin(), edges.end());
+    std::sort(mirror_only.begin(), mirror_only.end());
+    const auto middle =
+        edges.insert(edges.end(), mirror_only.begin(), mirror_only.end());
+    if (sorted) std::inplace_merge(edges.begin(), middle, edges.end());
+  }
+  if (report != nullptr && unmirrored > 0) {
+    report->findings.push_back(Finding{FindingKind::kUnmirroredEntry,
+                                       unmirrored, first_unmirrored});
   }
   list.set_num_vertices(static_cast<VertexId>(n));
   return list;
@@ -397,9 +444,10 @@ StatusOr<Graph> LoadGraph(const std::string& path) {
   return path.ends_with(".bin") ? LoadBinary(path) : LoadSnapText(path);
 }
 
-StatusOr<EdgeList> LoadEdgeList(const std::string& path) {
+StatusOr<EdgeList> LoadEdgeList(const std::string& path,
+                                ValidationReport* report) {
   GPUTC_INJECT_FAULT("io.load");
-  if (path.ends_with(".bin")) return LoadBinaryEdgeList(path);
+  if (path.ends_with(".bin")) return LoadBinaryEdgeList(path, report);
   std::ifstream in(path);
   if (!in) return NotFoundError("cannot open '" + path + "'");
   StatusOr<EdgeList> list = ReadSnapEdgeList(in);

@@ -10,6 +10,8 @@
 
 namespace gputc {
 
+struct ValidationReport;  // graph/validate.h
+
 // All loaders return StatusOr so every failure carries a code and a
 // context-bearing message (file, line or byte offset, expected vs actual).
 // StatusOr mirrors std::optional's accessors, so legacy optional-style call
@@ -70,10 +72,14 @@ bool SaveBinary(const Graph& g, const std::string& path);
 StatusOr<Graph> LoadBinary(const std::string& path);
 
 /// Binary loader for GraphDoctor: the same reader and structure check as
-/// LoadBinary, then the CSR's entries with u <= v as a raw edge list (self
-/// loops and in-row duplicates preserved). Lower entries are taken as the
-/// mirrors and not read, so a missing mirror does not show here.
-StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path);
+/// LoadBinary, then every edge either row lists, as a raw edge list (self
+/// loops and in-row duplicates preserved). An entry (u, v) with u <= v
+/// carries its edge; an entry with u > v is the mirror of (v, u) and adds an
+/// edge only when row v does not list u. When `report` is non-null, entries
+/// whose row partner does not list them back are added to it as one
+/// unmirrored-entry finding that names the first of them.
+StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path,
+                                      ValidationReport* report = nullptr);
 
 // Extension-dispatching conveniences used by the CLI: ".bin" selects the
 // binary format, anything else SNAP text.
@@ -82,7 +88,8 @@ StatusOr<EdgeList> LoadBinaryEdgeList(const std::string& path);
 StatusOr<Graph> LoadGraph(const std::string& path);
 
 /// Loads the raw edge list from `path` by extension.
-StatusOr<EdgeList> LoadEdgeList(const std::string& path);
+StatusOr<EdgeList> LoadEdgeList(const std::string& path,
+                                ValidationReport* report = nullptr);
 
 /// Saves `g` to `path` by extension, reporting failures as Status.
 Status SaveGraph(const Graph& g, const std::string& path);

@@ -34,6 +34,8 @@ const char* FindingKindName(FindingKind kind) {
       return "duplicate-edge";
     case FindingKind::kUnsortedEdges:
       return "unsorted-edges";
+    case FindingKind::kUnmirroredEntry:
+      return "unmirrored-entry";
     case FindingKind::kEndpointOutOfRange:
       return "endpoint-out-of-range";
     case FindingKind::kVertexCountOverflow:
@@ -51,6 +53,7 @@ bool FindingIsRepairable(FindingKind kind) {
     case FindingKind::kSelfLoop:
     case FindingKind::kDuplicateEdge:
     case FindingKind::kUnsortedEdges:
+    case FindingKind::kUnmirroredEntry:
       return true;
     default:
       return false;

@@ -21,6 +21,7 @@ enum class FindingKind {
   kSelfLoop,            // Edge (v, v).
   kDuplicateEdge,       // Same undirected edge listed more than once.
   kUnsortedEdges,       // Edges not in canonical (u < v, sorted) order.
+  kUnmirroredEntry,     // A CSR row u lists v, but row v does not list u.
   // Structural (never repairable).
   kEndpointOutOfRange,  // Endpoint id >= declared vertex count.
   // Capacity (never repairable; caught before they become allocations).
@@ -32,7 +33,8 @@ enum class FindingKind {
 /// Stable identifier, e.g. "self-loop", "endpoint-out-of-range".
 const char* FindingKindName(FindingKind kind);
 
-/// True if normalization (drop self loops, dedup, sort) removes the defect.
+/// True if normalization (drop self loops, dedup, sort, keep every edge
+/// either CSR row lists) removes the defect.
 bool FindingIsRepairable(FindingKind kind);
 
 /// One detected defect class with an occurrence count and a pinpointed first

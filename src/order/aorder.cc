@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <span>
 
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -43,25 +44,61 @@ AOrderResult AOrder(const std::vector<EdgeCount>& out_degrees,
   const size_t bucket_size = static_cast<size_t>(options.bucket_size);
   const size_t num_buckets = (n + bucket_size - 1) / bucket_size;
 
-  // Partition vertices by the sign of their memory superiority (Lines 3-4).
-  std::vector<VertexId> mem_dominated;
-  std::vector<VertexId> comp_dominated;
-  std::vector<double> superiority(n);
-  for (VertexId v = 0; v < n; ++v) {
-    superiority[v] = model.MemorySuperiority(out_degrees[v]);
-    (superiority[v] > 0.0 ? mem_dominated : comp_dominated).push_back(v);
-  }
-  result.num_memory_dominated = static_cast<int64_t>(mem_dominated.size());
-  result.num_compute_dominated = static_cast<int64_t>(comp_dominated.size());
-  // Largest contributions first so they land while all buckets still have
-  // room.
-  auto by_abs_desc = [&superiority](VertexId a, VertexId b) {
-    const double sa = std::abs(superiority[a]);
-    const double sb = std::abs(superiority[b]);
-    return sa != sb ? sa > sb : a < b;
+  // Memory superiority is a function of the degree alone, so it is
+  // evaluated once per distinct degree.
+  const std::vector<DegreeIntensity> by_degree =
+      IntensitiesByDegree(out_degrees, model);
+  auto superiority = [&](VertexId v) {
+    return by_degree[static_cast<size_t>(out_degrees[v])].superiority;
   };
-  std::sort(mem_dominated.begin(), mem_dominated.end(), by_abs_desc);
-  std::sort(comp_dominated.begin(), comp_dominated.end(), by_abs_desc);
+
+  // Partition vertices by the sign of their memory superiority (Lines 3-4),
+  // and dispatch each class by descending |mem_sup|, ties by id, so the
+  // largest contributions land while all buckets still have room. Only the
+  // distinct degrees are compared: equal (class, |mem_sup|) pairs share one
+  // key (degrees 0 and 1 both clamp to d = 1), and a stable counting sort of
+  // the vertices over the keys yields the dispatch order.
+  std::vector<size_t> distinct;
+  for (size_t d = 0; d < by_degree.size(); ++d) {
+    if (by_degree[d].vertices > 0) distinct.push_back(d);
+  }
+  auto memory_dominated = [&by_degree](size_t d) {
+    return by_degree[d].superiority > 0.0;
+  };
+  auto magnitude = [&by_degree](size_t d) {
+    return std::abs(by_degree[d].superiority);
+  };
+  std::sort(distinct.begin(), distinct.end(), [&](size_t a, size_t b) {
+    return memory_dominated(a) != memory_dominated(b)
+               ? memory_dominated(a)
+               : magnitude(a) > magnitude(b);
+  });
+  std::vector<size_t> key_of_degree(by_degree.size());
+  std::vector<size_t> key_next;  // Next dispatch position of each key.
+  size_t start = 0;
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    const size_t d = distinct[i];
+    if (i == 0 || memory_dominated(d) != memory_dominated(distinct[i - 1]) ||
+        magnitude(d) != magnitude(distinct[i - 1])) {
+      key_next.push_back(start);
+    }
+    key_of_degree[d] = key_next.size() - 1;
+    start += static_cast<size_t>(by_degree[d].vertices);
+    if (memory_dominated(d)) {
+      result.num_memory_dominated += by_degree[d].vertices;
+    }
+  }
+  result.num_compute_dominated =
+      static_cast<int64_t>(n) - result.num_memory_dominated;
+  std::vector<VertexId> dispatch(n);
+  for (VertexId v = 0; v < n; ++v) {
+    const size_t key = key_of_degree[static_cast<size_t>(out_degrees[v])];
+    dispatch[key_next[key]++] = v;
+  }
+  const size_t num_mem = static_cast<size_t>(result.num_memory_dominated);
+  const std::span<const VertexId> mem_dominated(dispatch.data(), num_mem);
+  const std::span<const VertexId> comp_dominated(dispatch.data() + num_mem,
+                                                 n - num_mem);
 
   std::vector<std::vector<VertexId>> buckets(num_buckets);
   std::vector<double> bucket_sup(num_buckets, 0.0);
@@ -99,7 +136,7 @@ AOrderResult AOrder(const std::vector<EdgeCount>& out_degrees,
       auto& bucket = buckets[static_cast<size_t>(top.bucket)];
       bucket.push_back(v);
       placed[v] = 1;
-      bucket_sup[static_cast<size_t>(top.bucket)] += superiority[v];
+      bucket_sup[static_cast<size_t>(top.bucket)] += superiority(v);
       if (bucket.size() < bucket_size) {
         heap.push(
             HeapEntry{bucket_sup[static_cast<size_t>(top.bucket)], top.bucket});
@@ -132,7 +169,7 @@ AOrderResult AOrder(const std::vector<EdgeCount>& out_degrees,
       auto& bucket = buckets[static_cast<size_t>(top.bucket)];
       bucket.push_back(v);
       placed[v] = 1;
-      bucket_sup[static_cast<size_t>(top.bucket)] += superiority[v];
+      bucket_sup[static_cast<size_t>(top.bucket)] += superiority(v);
       if (bucket.size() < bucket_size) {
         heap.push(
             HeapEntry{bucket_sup[static_cast<size_t>(top.bucket)], top.bucket});
@@ -175,9 +212,6 @@ AOrderResult AOrder(const std::vector<EdgeCount>& out_degrees,
   for (VertexId position = 0; position < n; ++position) {
     result.perm[sequence[position]] = position;
   }
-
-  result.imbalance_cost = OrderingImbalanceCost(
-      out_degrees, result.perm, options.bucket_size, model);
   return result;
 }
 

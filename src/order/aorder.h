@@ -32,8 +32,6 @@ struct AOrderResult {
   Permutation perm;  // old id -> new id.
   int64_t num_memory_dominated = 0;
   int64_t num_compute_dominated = 0;
-  /// Eq. 3 objective of the produced ordering.
-  double imbalance_cost = 0.0;
   /// True when packing stopped early because options.exec requested a stop.
   /// The permutation is still valid (unplaced vertices keep relative order
   /// at the tail) but is not the A-order optimum; callers re-check their
@@ -47,10 +45,17 @@ struct AOrderResult {
 /// buckets whose compute and memory demands offset each other. Vertices are
 /// dispatched in descending |mem_sup| so the largest contributions are
 /// placed while the heap still has slack (the paper does not fix a dispatch
-/// order; this is the standard greedy-balancing choice). O(|V| log |V|).
+/// order; this is the standard greedy-balancing choice).
+///
+/// O(n + D log D + n log B) time for n vertices, D distinct degrees and B
+/// buckets, plus O(n log bucket_size) for sort_within_bucket: the model is
+/// evaluated once per distinct degree, the dispatch order is a counting sort
+/// over the distinct |mem_sup| values, and the heap packing costs log B per
+/// vertex. Memory is O(n + the largest degree). The Eq. 3 objective of the result is
+/// OrderingImbalanceCost(out_degrees, perm, bucket_size, model).
 ///
 /// `out_degrees[v]` is d~(v) in the directed graph the counting kernel will
-/// consume.
+/// consume; every entry must be non-negative.
 AOrderResult AOrder(const std::vector<EdgeCount>& out_degrees,
                     const ResourceModel& model, const AOrderOptions& options = {});
 

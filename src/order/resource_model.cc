@@ -64,6 +64,28 @@ double ResourceModel::BandwidthAt(EdgeCount out_degree) const {
          bw_by_log2_len_[static_cast<size_t>(hi)] * frac;
 }
 
+std::vector<DegreeIntensity> IntensitiesByDegree(
+    const std::vector<EdgeCount>& degrees, const ResourceModel& model) {
+  EdgeCount min_degree = 0;
+  EdgeCount max_degree = 0;
+  for (const EdgeCount d : degrees) {
+    min_degree = std::min(min_degree, d);
+    max_degree = std::max(max_degree, d);
+  }
+  GPUTC_CHECK_GE(min_degree, 0);
+  std::vector<DegreeIntensity> table(static_cast<size_t>(max_degree) + 1);
+  for (const EdgeCount d : degrees) ++table[static_cast<size_t>(d)].vertices;
+  for (size_t d = 0; d < table.size(); ++d) {
+    DegreeIntensity& entry = table[d];
+    if (entry.vertices == 0) continue;
+    const EdgeCount degree = static_cast<EdgeCount>(d);
+    entry.compute = model.ComputeIntensity(degree);
+    entry.memory = model.MemoryIntensity(degree);
+    entry.superiority = model.MemorySuperiority(degree);
+  }
+  return table;
+}
+
 std::vector<BucketCost> BucketCosts(const std::vector<EdgeCount>& out_degrees,
                                     const Permutation& perm, int bucket_size,
                                     const ResourceModel& model) {
@@ -72,11 +94,15 @@ std::vector<BucketCost> BucketCosts(const std::vector<EdgeCount>& out_degrees,
   const size_t n = out_degrees.size();
   const size_t buckets = (n + static_cast<size_t>(bucket_size) - 1) /
                          static_cast<size_t>(bucket_size);
+  const std::vector<DegreeIntensity> by_degree =
+      IntensitiesByDegree(out_degrees, model);
   std::vector<BucketCost> costs(buckets);
   for (VertexId old_id = 0; old_id < n; ++old_id) {
     const size_t bucket = perm[old_id] / static_cast<size_t>(bucket_size);
-    costs[bucket].compute += model.ComputeIntensity(out_degrees[old_id]);
-    costs[bucket].memory += model.MemoryIntensity(out_degrees[old_id]);
+    const DegreeIntensity& v =
+        by_degree[static_cast<size_t>(out_degrees[old_id])];
+    costs[bucket].compute += v.compute;
+    costs[bucket].memory += v.memory;
   }
   return costs;
 }

@@ -1,6 +1,7 @@
 #ifndef GPUTC_ORDER_RESOURCE_MODEL_H_
 #define GPUTC_ORDER_RESOURCE_MODEL_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/permutation.h"
@@ -63,6 +64,23 @@ class ResourceModel {
   std::vector<double> bw_by_log2_len_;
 };
 
+/// The model evaluated at one degree.
+struct DegreeIntensity {
+  int64_t vertices = 0;      // Entries of the degree vector with this degree.
+  double compute = 0.0;      // F_c(d)
+  double memory = 0.0;       // F_m(d)
+  double superiority = 0.0;  // F_m(d) - lambda * F_c(d)
+};
+
+/// The model at every degree of `degrees`, indexed by degree from 0 through
+/// the largest entry (graph degrees are below the vertex count, so the table
+/// is no longer than the graph). Each distinct degree is evaluated once and
+/// absent degrees stay zero. The intensities are pure functions of the
+/// degree, so per-vertex loops that read this table get the doubles a
+/// per-vertex model call would return. Degrees must be non-negative.
+std::vector<DegreeIntensity> IntensitiesByDegree(
+    const std::vector<EdgeCount>& degrees, const ResourceModel& model);
+
 /// Per-bucket totals of the optimization objective (Eq. 2).
 struct BucketCost {
   double compute = 0.0;  // C_i
@@ -70,7 +88,9 @@ struct BucketCost {
 };
 
 /// Splits vertices (in permuted order) into buckets of `bucket_size`
-/// consecutive new ids and returns each bucket's (C_i, M_i).
+/// consecutive new ids and returns each bucket's (C_i, M_i). Reads the
+/// intensities from IntensitiesByDegree, so out-degrees must be
+/// non-negative.
 std::vector<BucketCost> BucketCosts(const std::vector<EdgeCount>& out_degrees,
                                     const Permutation& perm, int bucket_size,
                                     const ResourceModel& model);

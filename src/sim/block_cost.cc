@@ -7,9 +7,9 @@
 namespace gputc {
 
 void BlockCostModel::BeginBlock() {
-  current_.assign(static_cast<size_t>(spec_.threads_per_block()),
-                  ThreadWork{});
-  current_dirty_ = false;
+  current_.resize(static_cast<size_t>(spec_.threads_per_block()));
+  std::fill_n(current_.begin(), touched_, ThreadWork{});
+  touched_ = 0;
   cost_ = BlockCost{};
 }
 
@@ -18,31 +18,47 @@ void BlockCostModel::AddThreadWork(int thread_idx, const ThreadWork& work) {
   GPUTC_CHECK_LT(thread_idx, spec_.threads_per_block());
   if (current_.empty()) BeginBlock();
   current_[static_cast<size_t>(thread_idx)] += work;
-  current_dirty_ = true;
+  touched_ = std::max(touched_, thread_idx + 1);
+}
+
+void BlockCostModel::AddThreadsWork(int first, int count,
+                                    const ThreadWork& work) {
+  GPUTC_CHECK_GE(first, 0);
+  GPUTC_CHECK_GE(count, 0);
+  GPUTC_CHECK_LE(static_cast<int64_t>(first) + count,
+                 spec_.threads_per_block());
+  if (count == 0) return;
+  if (current_.empty()) BeginBlock();
+  const int end = first + count;
+  for (int t = first; t < end; ++t) {
+    current_[static_cast<size_t>(t)] += work;
+  }
+  touched_ = std::max(touched_, end);
 }
 
 void BlockCostModel::EndSuperstep() { FoldSuperstep(/*charge_sync=*/true); }
 
 void BlockCostModel::FoldSuperstep(bool charge_sync) {
-  if (!current_dirty_) {
+  if (touched_ == 0) {
     if (charge_sync) {
       cost_.sync_cycles += spec_.sync_cost_cycles;
       ++cost_.supersteps;
     }
     return;
   }
+  const size_t touched = static_cast<size_t>(touched_);
   const int warp = spec_.warp_size;
   double compute_demand = 0.0;
   double total_transactions = 0.0;
   double total_shared = 0.0;
   double total_ops = 0.0;
   double critical = 0.0;
-  for (size_t w = 0; w * warp < current_.size(); ++w) {
+  for (size_t w = 0; w * warp < touched; ++w) {
     double warp_max_ops = 0.0;
     double warp_transactions = 0.0;
     for (size_t lane = 0; lane < static_cast<size_t>(warp); ++lane) {
       const size_t t = w * warp + lane;
-      if (t >= current_.size()) break;
+      if (t >= touched) break;
       warp_max_ops = std::max(warp_max_ops, current_[t].compute_ops);
       warp_transactions += current_[t].mem_transactions;
       total_ops += current_[t].compute_ops;
@@ -74,16 +90,15 @@ void BlockCostModel::FoldSuperstep(bool charge_sync) {
     cost_.sync_cycles += spec_.sync_cost_cycles;
     ++cost_.supersteps;
   }
-  std::fill(current_.begin(), current_.end(), ThreadWork{});
-  current_dirty_ = false;
+  std::fill_n(current_.begin(), touched, ThreadWork{});
+  touched_ = 0;
 }
 
 BlockCost BlockCostModel::Finish() {
-  if (current_dirty_) FoldSuperstep(/*charge_sync=*/false);
+  if (touched_ > 0) FoldSuperstep(/*charge_sync=*/false);
   cost_.cycles += cost_.sync_cycles;
   BlockCost result = cost_;
   cost_ = BlockCost{};
-  current_dirty_ = false;
   return result;
 }
 

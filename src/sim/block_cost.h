@@ -55,6 +55,11 @@ struct BlockCost {
 ///        plus its transactions at memory latency spacing), which dominates
 ///        when too few warps remain to hide latency.
 ///  * Non-BSP kernels use one implicit superstep with zero sync cost.
+///
+/// Pricing costs O(touched lanes), not O(threads_per_block): the model keeps
+/// the highest lane touched in the open superstep, and a fold reads and
+/// clears only that prefix. Lanes past it hold exact zeros, which change no
+/// sum, warp maximum or critical path.
 class BlockCostModel {
  public:
   explicit BlockCostModel(const DeviceSpec& spec) : spec_(spec) {}
@@ -65,6 +70,12 @@ class BlockCostModel {
   /// Adds `work` to thread `thread_idx` (0-based within the block) of the
   /// current superstep. thread_idx must be < threads_per_block.
   void AddThreadWork(int thread_idx, const ThreadWork& work);
+
+  /// Adds the same `work` to each of threads [first, first + count): the
+  /// lane-uniform charge of a cooperative warp or block. Every lane gets the
+  /// addends AddThreadWork would give it, in the same order. The range must
+  /// lie within threads_per_block.
+  void AddThreadsWork(int first, int count, const ThreadWork& work);
 
   /// Closes the current superstep (BSP kernels call this at every
   /// __syncthreads()).
@@ -82,7 +93,7 @@ class BlockCostModel {
 
   DeviceSpec spec_;
   std::vector<ThreadWork> current_;  // Per-thread work in the open superstep.
-  bool current_dirty_ = false;
+  int touched_ = 0;  // Lanes [touched_, threads_per_block) are all zero.
   BlockCost cost_;
 };
 

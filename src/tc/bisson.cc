@@ -19,8 +19,9 @@ StatusOr<KernelStats> BissonCounter::Price(const DirectedGraph& g,
     GPUTC_RETURN_IF_ERROR(skeleton.AddBlock([&](BlockCostModel& model) {
       // Superstep 0: cooperatively set a bitmap bit per element of N+(v)
       // (scattered global writes), then synchronize.
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        model.AddThreadWork(static_cast<int>(i % threads), bitmap);
+      for (size_t i = 0; i < nbrs.size(); i += threads) {
+        model.AddThreadsWork(
+            0, static_cast<int>(std::min(threads, nbrs.size() - i)), bitmap);
       }
       model.EndSuperstep();
 

@@ -106,17 +106,13 @@ void ChargeWarpSearch(BlockCostModel& model, int warp, int64_t du, int64_t dv,
     const ThreadWork lane_work{chunk.compute_ops * n,
                                chunk.mem_transactions * n,
                                chunk.shared_transactions * n};
-    for (int lane = 0; lane < lanes; ++lane) {
-      model.AddThreadWork(warp * lanes + lane, lane_work);
-    }
+    model.AddThreadsWork(warp * lanes, lanes, lane_work);
   }
   const int remainder = static_cast<int>(dv % lanes);
   if (remainder > 0) {
     ThreadWork lane_work = CoalescedLoadLaneShare(remainder, remainder, spec);
     lane_work += WarpSearchLaneShare(du, remainder, spec);
-    for (int lane = 0; lane < remainder; ++lane) {
-      model.AddThreadWork(warp * lanes + lane, lane_work);
-    }
+    model.AddThreadsWork(warp * lanes, remainder, lane_work);
   }
 }
 

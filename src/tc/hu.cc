@@ -28,9 +28,8 @@ StatusOr<KernelStats> HuCounter::Price(const DirectedGraph& g,
               offsets[step_last(step_end - 1) + 1] - offsets[source(step)];
           const ThreadWork copy_share =
               CoalescedLoadLaneShare(staged, threads, spec);
-          for (int t = 0; t < static_cast<int>(step_end - step); ++t) {
-            model.AddThreadWork(t, copy_share);
-          }
+          model.AddThreadsWork(0, static_cast<int>(step_end - step),
+                               copy_share);
           model.EndSuperstep();
 
           // Search phase: thread t resolves arc (u, v): streams N+(v) from

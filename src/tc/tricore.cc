@@ -28,9 +28,7 @@ StatusOr<KernelStats> TriCoreCounter::Price(const DirectedGraph& g,
             ThreadWork lane_work = BinarySearchBatch(
                 /*keys=*/1, std::max(du, dv), /*shared=*/false, spec);
             lane_work += SortMerge((du + dv + lanes - 1) / lanes, 0, spec);
-            for (int lane = 0; lane < lanes; ++lane) {
-              model.AddThreadWork(warp * lanes + lane, lane_work);
-            }
+            model.AddThreadsWork(warp * lanes, lanes, lane_work);
           }
         }
       });

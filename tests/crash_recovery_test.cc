@@ -281,6 +281,21 @@ TEST_F(CrashRecoveryTest, ExitCodeContract) {
     EXPECT_NE(info.stderr_text.find("not canonical"), std::string::npos)
         << info.stderr_text;
   }
+  // 3: the doctor reports the same file. 0: --repair keeps every edge either
+  // row lists, and info accepts what it wrote.
+  const ChildResult doctor = RunGputc({"doctor", "--in", asym});
+  EXPECT_EQ(doctor.exit_code, 3) << doctor.stdout_text << doctor.stderr_text;
+  EXPECT_NE(doctor.stdout_text.find("unmirrored-entry"), std::string::npos)
+      << doctor.stdout_text;
+  const std::string fixed = dir_ + "/fixed_asym.bin";
+  EXPECT_EQ(
+      RunGputc({"doctor", "--in", asym, "--repair", "--out", fixed}).exit_code,
+      0);
+  const ChildResult fixed_info = RunGputc({"info", "--in", fixed});
+  EXPECT_EQ(fixed_info.exit_code, 0) << fixed_info.stderr_text;
+  EXPECT_NE(fixed_info.stdout_text.find("edges:           3\n"),
+            std::string::npos)
+      << fixed_info.stdout_text;
 }
 
 /// code -> name pairs of an exit-code table: lines that start with

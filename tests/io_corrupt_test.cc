@@ -196,6 +196,51 @@ TEST_F(CorruptFileTest, AsymmetricCsrRejected) {
       << g.status().ToString();
 }
 
+TEST_F(CorruptFileTest, DoctorNamesTheFirstUnmirroredEntry) {
+  const std::string path = Path("asym_doctor.bin");
+  // The AsymmetricCsrRejected file: (0, 2) in row 0 and (2, 1) in row 2
+  // have no mirror.
+  WriteCrafted(path, kMagic, /*n=*/3, /*m=*/2, {0, 2, 3, 4}, {1, 2, 0, 1});
+  ValidationReport report;
+  const StatusOr<EdgeList> raw = LoadBinaryEdgeList(path, &report);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  ASSERT_EQ(report.findings.size(), 1u) << report.Summary();
+  const Finding& finding = report.findings[0];
+  EXPECT_EQ(finding.kind, FindingKind::kUnmirroredEntry);
+  EXPECT_EQ(finding.count, 2);
+  EXPECT_NE(finding.detail.find("row 0 lists 2 (adjacency[1])"),
+            std::string::npos)
+      << finding.detail;
+  // Every edge either row lists, in canonical order: nothing else to flag.
+  EXPECT_EQ(raw->edges(), (std::vector<Edge>{{0, 1}, {0, 2}, {1, 2}}));
+  EXPECT_TRUE(GraphDoctor().Examine(*raw).clean());
+
+  // A canonical file has no such finding.
+  const std::string valid = Path("valid_doctor.bin");
+  ASSERT_TRUE(SaveBinary(GenerateErdosRenyi(60, 150, /*seed=*/7), valid));
+  ValidationReport clean;
+  const StatusOr<EdgeList> lifted = LoadBinaryEdgeList(valid, &clean);
+  ASSERT_TRUE(lifted.ok()) << lifted.status().ToString();
+  EXPECT_TRUE(clean.clean()) << clean.Summary();
+  EXPECT_EQ(lifted->num_edges(), 150);
+}
+
+TEST_F(CorruptFileTest, DoctorRepairKeepsEveryListedEdge) {
+  const std::string path = Path("asym_repair.bin");
+  WriteCrafted(path, kMagic, /*n=*/3, /*m=*/2, {0, 2, 3, 4}, {1, 2, 0, 1});
+  StatusOr<EdgeList> raw = LoadBinaryEdgeList(path);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  const StatusOr<Graph> repaired =
+      GraphDoctor().BuildGraph(*std::move(raw), RepairPolicy::kRepair);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+  EXPECT_EQ(repaired->num_edges(), 3);  // {1, 2} is listed by row 2 only.
+  const std::string fixed = Path("asym_fixed.bin");
+  ASSERT_TRUE(SaveBinary(*repaired, fixed));
+  const StatusOr<Graph> reloaded = LoadBinary(fixed);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded->num_edges(), 3);
+}
+
 TEST_F(CorruptFileTest, UnsortedSymmetricRowsRejected) {
   const std::string path = Path("unsorted.bin");
   // Rows [2, 1], [0], [0]: symmetric, but row 0 is out of order.

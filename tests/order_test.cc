@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <queue>
 #include <set>
 
 #include "direction/direction.h"
@@ -9,6 +13,7 @@
 #include "order/calibration.h"
 #include "order/ordering.h"
 #include "order/resource_model.h"
+#include "util/random.h"
 
 namespace gputc {
 namespace {
@@ -99,8 +104,8 @@ TEST(AOrderTest, BeatsDegreeOrderOnImbalanceObjective) {
   const std::vector<EdgeCount> degs = d.OutDegrees();
   const int bucket = 256;
 
-  const double a_cost =
-      AOrder(degs, model, AOrderOptions{bucket}).imbalance_cost;
+  const double a_cost = OrderingImbalanceCost(
+      degs, AOrder(degs, model, AOrderOptions{bucket}).perm, bucket, model);
   const double original_cost = OrderingImbalanceCost(
       degs, IdentityPermutation(d.num_vertices()), bucket, model);
   const double degree_cost = OrderingImbalanceCost(
@@ -110,6 +115,237 @@ TEST(AOrderTest, BeatsDegreeOrderOnImbalanceObjective) {
   // preferences, the paper's worst case).
   EXPECT_LT(a_cost, original_cost);
   EXPECT_LT(original_cost, degree_cost);
+}
+
+/// A-order in its per-vertex form, the reference the production code must
+/// match bit for bit: one MemorySuperiority call per vertex, std::sort over
+/// each dominance class, the same two heaps and the same stop polls.
+struct ReferenceAOrderResult {
+  Permutation perm;
+  int64_t num_memory_dominated = 0;
+  int64_t num_compute_dominated = 0;
+  bool aborted = false;
+};
+
+ReferenceAOrderResult ReferenceAOrder(const std::vector<EdgeCount>& degrees,
+                                      const ResourceModel& model,
+                                      const AOrderOptions& options) {
+  struct Entry {
+    double mem_sup;
+    int bucket;
+  };
+  struct MinFirst {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.mem_sup != b.mem_sup ? a.mem_sup > b.mem_sup
+                                    : a.bucket > b.bucket;
+    }
+  };
+  struct MaxFirst {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.mem_sup != b.mem_sup ? a.mem_sup < b.mem_sup
+                                    : a.bucket > b.bucket;
+    }
+  };
+  const size_t n = degrees.size();
+  ReferenceAOrderResult result;
+  result.perm.assign(n, 0);
+  if (n == 0) return result;
+  const size_t bucket_size = static_cast<size_t>(options.bucket_size);
+  const size_t num_buckets = (n + bucket_size - 1) / bucket_size;
+
+  std::vector<VertexId> mem_dominated;
+  std::vector<VertexId> comp_dominated;
+  std::vector<double> superiority(n);
+  for (VertexId v = 0; v < n; ++v) {
+    superiority[v] = model.MemorySuperiority(degrees[v]);
+    (superiority[v] > 0.0 ? mem_dominated : comp_dominated).push_back(v);
+  }
+  result.num_memory_dominated = static_cast<int64_t>(mem_dominated.size());
+  result.num_compute_dominated = static_cast<int64_t>(comp_dominated.size());
+  auto by_abs_desc = [&superiority](VertexId a, VertexId b) {
+    const double sa = std::abs(superiority[a]);
+    const double sb = std::abs(superiority[b]);
+    return sa != sb ? sa > sb : a < b;
+  };
+  std::sort(mem_dominated.begin(), mem_dominated.end(), by_abs_desc);
+  std::sort(comp_dominated.begin(), comp_dominated.end(), by_abs_desc);
+
+  std::vector<std::vector<VertexId>> buckets(num_buckets);
+  std::vector<double> bucket_sup(num_buckets, 0.0);
+  std::vector<char> placed(n, 0);
+  int64_t dispatched = 0;
+  auto stop_requested = [&options, &dispatched]() {
+    return options.exec != nullptr && dispatched++ % 1024 == 0 &&
+           options.exec->stop_requested();
+  };
+  auto place = [&](VertexId v, int b) {
+    buckets[static_cast<size_t>(b)].push_back(v);
+    placed[v] = 1;
+    bucket_sup[static_cast<size_t>(b)] += superiority[v];
+    return buckets[static_cast<size_t>(b)].size() < bucket_size;
+  };
+  {
+    std::priority_queue<Entry, std::vector<Entry>, MinFirst> heap;
+    for (size_t b = 0; b < num_buckets; ++b) {
+      heap.push(Entry{0.0, static_cast<int>(b)});
+    }
+    for (VertexId v : mem_dominated) {
+      if (stop_requested()) {
+        result.aborted = true;
+        break;
+      }
+      const Entry top = heap.top();
+      heap.pop();
+      if (place(v, top.bucket)) {
+        heap.push(
+            Entry{bucket_sup[static_cast<size_t>(top.bucket)], top.bucket});
+      }
+    }
+  }
+  if (!result.aborted) {
+    std::priority_queue<Entry, std::vector<Entry>, MaxFirst> heap;
+    for (size_t b = 0; b < num_buckets; ++b) {
+      if (buckets[b].size() < bucket_size) {
+        heap.push(Entry{bucket_sup[b], static_cast<int>(b)});
+      }
+    }
+    for (VertexId v : comp_dominated) {
+      if (stop_requested()) {
+        result.aborted = true;
+        break;
+      }
+      const Entry top = heap.top();
+      heap.pop();
+      if (place(v, top.bucket)) {
+        heap.push(
+            Entry{bucket_sup[static_cast<size_t>(top.bucket)], top.bucket});
+      }
+    }
+  }
+  std::vector<VertexId> sequence;
+  for (const auto& bucket : buckets) {
+    sequence.insert(sequence.end(), bucket.begin(), bucket.end());
+  }
+  if (result.aborted) {
+    for (VertexId v = 0; v < n; ++v) {
+      if (!placed[v]) sequence.push_back(v);
+    }
+  }
+  if (options.sort_within_bucket) {
+    for (size_t chunk = 0; chunk < n; chunk += bucket_size) {
+      std::sort(sequence.begin() + static_cast<ptrdiff_t>(chunk),
+                sequence.begin() +
+                    static_cast<ptrdiff_t>(std::min(n, chunk + bucket_size)),
+                [&degrees](VertexId a, VertexId b) {
+                  return degrees[a] != degrees[b] ? degrees[a] > degrees[b]
+                                                  : a < b;
+                });
+    }
+  }
+  for (VertexId position = 0; position < n; ++position) {
+    result.perm[sequence[position]] = position;
+  }
+  return result;
+}
+
+/// Eq. 3 in its per-vertex form: two model calls per vertex.
+double ReferenceImbalanceCost(const std::vector<EdgeCount>& degrees,
+                              const Permutation& perm, int bucket_size,
+                              const ResourceModel& model) {
+  const size_t buckets =
+      (degrees.size() + static_cast<size_t>(bucket_size) - 1) /
+      static_cast<size_t>(bucket_size);
+  std::vector<BucketCost> costs(buckets);
+  for (VertexId v = 0; v < degrees.size(); ++v) {
+    BucketCost& c = costs[perm[v] / static_cast<size_t>(bucket_size)];
+    c.compute += model.ComputeIntensity(degrees[v]);
+    c.memory += model.MemoryIntensity(degrees[v]);
+  }
+  double total = 0.0;
+  for (const BucketCost& c : costs) {
+    total += std::abs(model.lambda() * c.compute - c.memory);
+  }
+  return total;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Mostly short lists, with degrees 0 and 1 (which share one |mem_sup|)
+/// interleaved by id, a long tail, and optionally lists past the model's
+/// 2^20 table.
+std::vector<EdgeCount> RandomDegrees(Rng& rng, size_t n, bool past_table) {
+  std::vector<EdgeCount> degrees(n);
+  for (EdgeCount& d : degrees) {
+    const uint64_t kind = rng.NextBounded(16);
+    if (kind < 6) {
+      d = static_cast<EdgeCount>(rng.NextBounded(2));
+    } else if (kind < 11) {
+      d = static_cast<EdgeCount>(rng.NextBounded(64));
+    } else if (kind < 15 || !past_table) {
+      d = static_cast<EdgeCount>(rng.NextBounded(6000));
+    } else {
+      d = (EdgeCount{1} << 20) + static_cast<EdgeCount>(rng.NextBounded(4096));
+    }
+  }
+  return degrees;
+}
+
+void ExpectMatchesReference(const std::vector<EdgeCount>& degrees,
+                            const ResourceModel& model,
+                            const AOrderOptions& options) {
+  SCOPED_TRACE("n=" + std::to_string(degrees.size()) +
+               " bucket=" + std::to_string(options.bucket_size));
+  const AOrderResult got = AOrder(degrees, model, options);
+  const ReferenceAOrderResult want = ReferenceAOrder(degrees, model, options);
+  EXPECT_EQ(got.perm, want.perm);
+  EXPECT_EQ(got.num_memory_dominated, want.num_memory_dominated);
+  EXPECT_EQ(got.num_compute_dominated, want.num_compute_dominated);
+  EXPECT_EQ(got.aborted, want.aborted);
+  const double got_cost =
+      OrderingImbalanceCost(degrees, got.perm, options.bucket_size, model);
+  const double want_cost =
+      ReferenceImbalanceCost(degrees, want.perm, options.bucket_size, model);
+  EXPECT_TRUE(SameBits(got_cost, want_cost)) << got_cost << " vs " << want_cost;
+}
+
+TEST(AOrderTest, MatchesPerVertexReferenceBitForBit) {
+  const ResourceModel model = TestModel();
+  Rng rng(1729);
+  const size_t sizes[] = {0, 1, 2, 7, 255, 256, 257, 1000, 4099, 20000};
+  for (const int bucket : {1, 8, 37, 256}) {
+    for (const size_t n : sizes) {
+      ExpectMatchesReference(RandomDegrees(rng, n, /*past_table=*/false),
+                             model, AOrderOptions{bucket});
+    }
+    const size_t n = static_cast<size_t>(rng.NextBounded(20001));
+    ExpectMatchesReference(RandomDegrees(rng, n, /*past_table=*/false), model,
+                           AOrderOptions{bucket, /*sort_within_bucket=*/false});
+  }
+}
+
+TEST(AOrderTest, MatchesReferencePastTheBandwidthTable) {
+  const ResourceModel model = TestModel();
+  Rng rng(4104);
+  for (const int bucket : {8, 256}) {
+    ExpectMatchesReference(RandomDegrees(rng, 3000, /*past_table=*/true),
+                           model, AOrderOptions{bucket});
+  }
+}
+
+TEST(AOrderTest, CancelledRunMatchesReferenceTail) {
+  const ResourceModel model = TestModel();
+  ExecContext ctx;
+  ctx.cancel.Cancel("test");
+  Rng rng(99);
+  for (const int bucket : {1, 8, 37, 256}) {
+    AOrderOptions options{bucket};
+    options.exec = &ctx;
+    const std::vector<EdgeCount> degrees = RandomDegrees(rng, 5000, false);
+    ASSERT_TRUE(AOrder(degrees, model, options).aborted);
+    ExpectMatchesReference(degrees, model, options);
+  }
 }
 
 TEST(ResourceModelTest, IntensityShapes) {

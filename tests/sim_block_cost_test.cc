@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "sim/block_cost.h"
 #include "sim/device.h"
+#include "util/random.h"
 
 namespace gputc {
 namespace {
@@ -154,11 +157,176 @@ TEST(BlockCostTest, FinishResetsState) {
   EXPECT_EQ(second.cycles, 0.0);
 }
 
+/// The block model in its dense form, the reference for the touched-prefix
+/// fold: BeginBlock zeroes every lane, and each fold scans, then clears, all
+/// threads_per_block lanes.
+class DenseReferenceModel {
+ public:
+  explicit DenseReferenceModel(const DeviceSpec& spec) : spec_(spec) {}
+
+  void BeginBlock() {
+    current_.assign(static_cast<size_t>(spec_.threads_per_block()),
+                    ThreadWork{});
+    dirty_ = false;
+    cost_ = BlockCost{};
+  }
+
+  void AddThreadWork(int thread_idx, const ThreadWork& work) {
+    if (current_.empty()) BeginBlock();
+    current_[static_cast<size_t>(thread_idx)] += work;
+    dirty_ = true;
+  }
+
+  void EndSuperstep() { Fold(/*charge_sync=*/true); }
+
+  BlockCost Finish() {
+    if (dirty_) Fold(/*charge_sync=*/false);
+    cost_.cycles += cost_.sync_cycles;
+    const BlockCost result = cost_;
+    cost_ = BlockCost{};
+    dirty_ = false;
+    return result;
+  }
+
+ private:
+  void Fold(bool charge_sync) {
+    if (dirty_) {
+      const size_t warp = static_cast<size_t>(spec_.warp_size);
+      double compute_demand = 0.0, total_transactions = 0.0;
+      double total_shared = 0.0, total_ops = 0.0, critical = 0.0;
+      for (size_t w = 0; w * warp < current_.size(); ++w) {
+        double warp_max_ops = 0.0, warp_transactions = 0.0;
+        for (size_t t = w * warp; t < std::min(current_.size(), (w + 1) * warp);
+             ++t) {
+          warp_max_ops = std::max(warp_max_ops, current_[t].compute_ops);
+          warp_transactions += current_[t].mem_transactions;
+          total_ops += current_[t].compute_ops;
+          total_transactions += current_[t].mem_transactions;
+          total_shared += current_[t].shared_transactions;
+        }
+        compute_demand += warp_max_ops;
+        critical = std::max(critical,
+                            warp_max_ops + warp_transactions *
+                                               spec_.mem_latency_cycles /
+                                               static_cast<double>(warp));
+      }
+      const double compute_cycles = compute_demand / spec_.issue_width;
+      const double memory_cycles =
+          total_transactions / spec_.mem_transactions_per_cycle;
+      const double shared_cycles =
+          total_shared / spec_.shared_transactions_per_cycle;
+      cost_.compute_cycles += compute_cycles;
+      cost_.memory_cycles += memory_cycles;
+      cost_.shared_cycles += shared_cycles;
+      cost_.critical_cycles += critical;
+      cost_.total_ops += total_ops;
+      cost_.total_transactions += total_transactions;
+      cost_.total_shared_transactions += total_shared;
+      cost_.cycles +=
+          std::max({compute_cycles, memory_cycles, shared_cycles, critical});
+      std::fill(current_.begin(), current_.end(), ThreadWork{});
+      dirty_ = false;
+    }
+    if (charge_sync) {
+      cost_.sync_cycles += spec_.sync_cost_cycles;
+      ++cost_.supersteps;
+    }
+  }
+
+  DeviceSpec spec_;
+  std::vector<ThreadWork> current_;
+  bool dirty_ = false;
+  BlockCost cost_;
+};
+
+bool SameBytes(const BlockCost& a, const BlockCost& b) {
+  return std::memcmp(&a, &b, sizeof(BlockCost)) == 0;
+}
+
+/// Zero about a third of the time, otherwise non-integral values whose sums
+/// depend on the order they are added in.
+ThreadWork RandomWork(Rng& rng) {
+  ThreadWork w;
+  if (rng.NextBounded(3) == 0) return w;
+  w.compute_ops = static_cast<double>(rng.NextBounded(1000)) / 7.0;
+  w.mem_transactions = static_cast<double>(rng.NextBounded(50)) / 3.0;
+  w.shared_transactions = static_cast<double>(rng.NextBounded(20)) / 11.0;
+  return w;
+}
+
+TEST(BlockCostTest, TouchedPrefixFoldMatchesDenseReference) {
+  const DeviceSpec spec = Spec();
+  const int threads = spec.threads_per_block();
+  BlockCostModel model(spec);
+  DenseReferenceModel reference(spec);
+  Rng rng(2021);
+  int finished = 0;
+  for (int op = 0; op < 200000; ++op) {
+    const uint64_t kind = rng.NextBounded(100);
+    if (kind < 2) {
+      model.BeginBlock();
+      reference.BeginBlock();
+    } else if (kind < 45) {
+      // Low lanes more often, so many supersteps touch only a prefix.
+      const int bound = rng.NextBounded(2) == 0 ? 40 : threads;
+      const int lane = static_cast<int>(rng.NextBounded(bound));
+      const ThreadWork w = RandomWork(rng);
+      model.AddThreadWork(lane, w);
+      reference.AddThreadWork(lane, w);
+    } else if (kind < 75) {
+      const int first = static_cast<int>(rng.NextBounded(threads));
+      const int count =
+          static_cast<int>(rng.NextBounded(threads - first + 1));
+      const ThreadWork w = RandomWork(rng);
+      model.AddThreadsWork(first, count, w);
+      for (int t = first; t < first + count; ++t) {
+        reference.AddThreadWork(t, w);
+      }
+    } else if (kind < 95) {
+      model.EndSuperstep();
+      reference.EndSuperstep();
+    } else {
+      const BlockCost got = model.Finish();
+      const BlockCost want = reference.Finish();
+      ASSERT_TRUE(SameBytes(got, want))
+          << "op " << op << ": cycles " << got.cycles << " vs "
+          << want.cycles;
+      ++finished;
+    }
+  }
+  ASSERT_TRUE(SameBytes(model.Finish(), reference.Finish()));
+  EXPECT_GT(finished, 1000);
+}
+
+TEST(BlockCostTest, AddThreadsWorkChargesEachLaneOnce) {
+  const DeviceSpec spec = Spec();
+  ThreadWork w;
+  w.compute_ops = 3.0;
+  w.mem_transactions = 1.0;
+  std::vector<ThreadWork> lanes(static_cast<size_t>(spec.threads_per_block()));
+  for (int t = 40; t < 72; ++t) lanes[static_cast<size_t>(t)] = w;
+  BlockCostModel model(spec);
+  model.BeginBlock();
+  model.AddThreadsWork(40, 32, w);
+  EXPECT_TRUE(SameBytes(model.Finish(), PriceBlock(spec, lanes)));
+}
+
 TEST(BlockCostDeathTest, ThreadIndexOutOfRange) {
   BlockCostModel model(Spec());
   model.BeginBlock();
   ThreadWork w;
   EXPECT_DEATH(model.AddThreadWork(100000, w), "thread_idx");
+}
+
+TEST(BlockCostDeathTest, ThreadRangePastBlockDies) {
+  const DeviceSpec spec = Spec();
+  BlockCostModel model(spec);
+  model.BeginBlock();
+  ThreadWork w;
+  EXPECT_DEATH(model.AddThreadsWork(spec.threads_per_block() - 8, 9, w),
+               "threads_per_block");
+  EXPECT_DEATH(model.AddThreadsWork(-1, 2, w), "first");
+  EXPECT_DEATH(model.AddThreadsWork(0, -1, w), "count");
 }
 
 }  // namespace

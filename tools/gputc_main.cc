@@ -690,11 +690,16 @@ int CmdDoctor(const FlagParser& flags) {
     return kExitUsage;
   }
   const std::string path = flags.GetString("in", "");
-  StatusOr<EdgeList> list = LoadEdgeList(path);
+  // Findings only the file format shows (a CSR entry with no mirror) come
+  // from the loader; the edge-list scan adds the rest.
+  ValidationReport report;
+  StatusOr<EdgeList> list = LoadEdgeList(path, &report);
   if (!list.ok()) return ReportInputError(list.status());
 
   const GraphDoctor doctor;
-  const ValidationReport report = doctor.Examine(*list);
+  const ValidationReport scan = doctor.Examine(*list);
+  report.findings.insert(report.findings.end(), scan.findings.begin(),
+                         scan.findings.end());
   std::cout << "examined '" << path << "': " << list->num_vertices()
             << " vertices, " << list->num_edges() << " raw edges\n";
   if (report.clean()) {
