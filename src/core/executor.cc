@@ -11,6 +11,7 @@
 #include "tc/cpu_counters.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace gputc {
@@ -168,8 +169,10 @@ int64_t EstimateHostBytes(const Graph& g) {
   const int64_t directed_adj = m * static_cast<int64_t>(sizeof(VertexId));
   const int64_t perms = 2 * n * static_cast<int64_t>(sizeof(VertexId));
   // Input CSR + oriented copy + relabeled copy (each with offsets) + the
-  // direction rank and ordering permutations.
-  return (offsets + undirected_adj) + 2 * (offsets + directed_adj) + perms;
+  // direction rank and ordering permutations + the exact count's n-byte mark
+  // array per host thread.
+  return (offsets + undirected_adj) + 2 * (offsets + directed_adj) + perms +
+         ParallelismLimit() * n;
 }
 
 int64_t EstimateHostBytesCached(const Graph& g) {
@@ -181,8 +184,10 @@ int64_t EstimateHostBytesCached(const Graph& g) {
   const int64_t directed_adj = m * static_cast<int64_t>(sizeof(VertexId));
   const int64_t perm = n * static_cast<int64_t>(sizeof(VertexId));
   // Input CSR + the one relabeled copy FromParts builds + the permutation
-  // copy; no intermediate oriented graph and no direction rank on a hit.
-  return (offsets + undirected_adj) + (offsets + directed_adj) + perm;
+  // copy + the exact count's mark arrays; no intermediate oriented graph and
+  // no direction rank on a hit.
+  return (offsets + undirected_adj) + (offsets + directed_adj) + perm +
+         ParallelismLimit() * n;
 }
 
 StatusOr<ExecutionResult> ExecuteResilient(
@@ -192,6 +197,8 @@ StatusOr<ExecutionResult> ExecuteResilient(
   if (chain.empty()) {
     return InvalidArgumentError("fallback chain is empty");
   }
+  // Concurrent requests share the host pool's threads between them.
+  const ParallelRequestScope in_flight;
 
   ExecContext ctx;
   ctx.tracer = policy.tracer;

@@ -104,15 +104,18 @@ struct ExecutionResult {
 };
 
 /// Bytes of host memory the pipeline peaks at for `g`: the undirected CSR,
-/// the oriented copy, the relabeled copy and the permutation arrays. An
-/// estimate (helper vectors are excluded), but a faithful lower bound —
-/// the quantity ExecutionPolicy::mem_budget_bytes is checked against.
+/// the oriented copy, the relabeled copy, the permutation arrays, and the
+/// exact count's n-byte mark array for each of up to ParallelismLimit()
+/// host threads. An estimate (other helper vectors are excluded), but a
+/// faithful lower bound — the quantity ExecutionPolicy::mem_budget_bytes is
+/// checked against.
 int64_t EstimateHostBytes(const Graph& g);
 
 /// EstimateHostBytes for a request whose preprocessing artifact is already
 /// cached: the hit path rebuilds the final CSR straight from the artifact
 /// (DirectedGraph::FromParts), so the peak drops the intermediate oriented
-/// copy and the direction-rank array that only the recompute holds. This is
+/// copy and the direction-rank array that only the recompute holds; the
+/// mark arrays stay. This is
 /// the quantity admission should reserve for cache-hit requests — reserving
 /// the cold estimate double-counts the directed graph.
 int64_t EstimateHostBytesCached(const Graph& g);
@@ -120,6 +123,8 @@ int64_t EstimateHostBytesCached(const Graph& g);
 /// Runs the fallback chain over `g` under `policy`.
 ///
 /// Semantics:
+///  - The call counts as one request in flight (ParallelRequestScope): the
+///    host pool's threads are shared among the calls running at once.
 ///  - The graph is validated once up front (GraphDoctor); invalid input
 ///    fails immediately — no fallback can fix a corrupt CSR.
 ///  - Every attempt runs inside a FailPointScope, so armed fail points

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace gputc {
 
@@ -18,21 +19,32 @@ DirectedGraph DirectedGraph::FromRank(const Graph& g,
   auto points_out = [&rank](VertexId u, VertexId v) {
     return rank[u] < rank[v] || (rank[u] == rank[v] && u < v);
   };
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v : g.neighbors(u)) {
-      if (points_out(u, v)) ++d.offsets_[u + 1];
+  // Both per-vertex passes write only vertex u's own slots, so arc-balanced
+  // vertex ranges run on the host pool; neither can fail.
+  const ParallelSplit split = SplitByArcs(g.offsets());
+  const auto count_out = [&](const ParallelTask& task) {
+    for (auto u = static_cast<VertexId>(task.begin); u < task.end; ++u) {
+      EdgeCount out = 0;
+      for (VertexId v : g.neighbors(u)) out += points_out(u, v);
+      d.offsets_[u + 1] = out;
     }
-  }
+    return OkStatus();
+  };
+  GPUTC_CHECK(ParallelFor(split, count_out).ok());
   for (size_t i = 1; i < d.offsets_.size(); ++i) {
     d.offsets_[i] += d.offsets_[i - 1];
   }
   d.adj_.resize(static_cast<size_t>(d.offsets_.back()));
-  std::vector<EdgeCount> cursor(d.offsets_.begin(), d.offsets_.end() - 1);
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v : g.neighbors(u)) {
-      if (points_out(u, v)) d.adj_[static_cast<size_t>(cursor[u]++)] = v;
+  const auto fill_out = [&](const ParallelTask& task) {
+    for (auto u = static_cast<VertexId>(task.begin); u < task.end; ++u) {
+      EdgeCount next = d.offsets_[u];
+      for (VertexId v : g.neighbors(u)) {
+        if (points_out(u, v)) d.adj_[static_cast<size_t>(next++)] = v;
+      }
     }
-  }
+    return OkStatus();
+  };
+  GPUTC_CHECK(ParallelFor(split, fill_out).ok());
   // Source adjacency is id-sorted, so each out list is already id-sorted.
   return d;
 }

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace gputc {
 
@@ -52,21 +53,32 @@ DirectedGraph ApplyPermutation(const DirectedGraph& g,
   GPUTC_CHECK_EQ(perm.size(), static_cast<size_t>(g.num_vertices()));
   const VertexId n = g.num_vertices();
   // Rebuild the CSR directly so the orientation (which a rank-based
-  // reconstruction could not recover) is preserved verbatim.
+  // reconstruction could not recover) is preserved verbatim. Both
+  // per-vertex passes write only the slots of perm[u], so arc-balanced
+  // vertex ranges run on the host pool; neither can fail.
+  const ParallelSplit split = SplitByArcs(g.offsets());
   std::vector<EdgeCount> offsets(static_cast<size_t>(n) + 1, 0);
-  for (VertexId u = 0; u < n; ++u) {
-    offsets[perm[u] + 1] = g.out_degree(u);
-  }
+  const auto scatter_degrees = [&](const ParallelTask& task) {
+    for (auto u = static_cast<VertexId>(task.begin); u < task.end; ++u) {
+      offsets[perm[u] + 1] = g.out_degree(u);
+    }
+    return OkStatus();
+  };
+  GPUTC_CHECK(ParallelFor(split, scatter_degrees).ok());
   for (size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
 
   std::vector<VertexId> adj(static_cast<size_t>(offsets.back()));
-  for (VertexId u = 0; u < n; ++u) {
-    EdgeCount cursor = offsets[perm[u]];
-    for (VertexId v : g.out_neighbors(u)) {
-      adj[static_cast<size_t>(cursor++)] = perm[v];
+  const auto fill_rows = [&](const ParallelTask& task) {
+    for (auto u = static_cast<VertexId>(task.begin); u < task.end; ++u) {
+      EdgeCount cursor = offsets[perm[u]];
+      for (VertexId v : g.out_neighbors(u)) {
+        adj[static_cast<size_t>(cursor++)] = perm[v];
+      }
+      std::sort(adj.begin() + offsets[perm[u]], adj.begin() + cursor);
     }
-    std::sort(adj.begin() + offsets[perm[u]], adj.begin() + cursor);
-  }
+    return OkStatus();
+  };
+  GPUTC_CHECK(ParallelFor(split, fill_rows).ok());
 
   return DirectedGraph::FromParts(std::move(offsets), std::move(adj));
 }

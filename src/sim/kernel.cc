@@ -28,9 +28,16 @@ void KernelStats::Accumulate(const KernelStats& other) {
 }
 
 KernelStats KernelLauncher::Launch(const std::vector<BlockCost>& blocks) const {
+  return LaunchParts({&blocks, 1});
+}
+
+KernelStats KernelLauncher::LaunchParts(
+    std::span<const std::vector<BlockCost>> parts) const {
   KernelStats stats;
-  stats.num_blocks = static_cast<int64_t>(blocks.size());
-  if (blocks.empty()) return stats;
+  for (const std::vector<BlockCost>& blocks : parts) {
+    stats.num_blocks += static_cast<int64_t>(blocks.size());
+  }
+  if (stats.num_blocks == 0) return stats;
 
   // Min-heap of SM finish times: greedy "first free SM takes next block".
   std::priority_queue<double, std::vector<double>, std::greater<>> sms;
@@ -38,22 +45,24 @@ KernelStats KernelLauncher::Launch(const std::vector<BlockCost>& blocks) const {
 
   double busy = 0.0;
   double makespan = 0.0;
-  for (const BlockCost& b : blocks) {
-    const double start = sms.top();
-    sms.pop();
-    const double finish = start + b.cycles;
-    sms.push(finish);
-    makespan = std::max(makespan, finish);
-    busy += b.cycles;
+  for (const std::vector<BlockCost>& blocks : parts) {
+    for (const BlockCost& b : blocks) {
+      const double start = sms.top();
+      sms.pop();
+      const double finish = start + b.cycles;
+      sms.push(finish);
+      makespan = std::max(makespan, finish);
+      busy += b.cycles;
 
-    stats.supersteps += b.supersteps;
-    stats.total_ops += b.total_ops;
-    stats.total_transactions += b.total_transactions;
-    stats.total_shared_transactions += b.total_shared_transactions;
-    stats.compute_cycles += b.compute_cycles;
-    stats.memory_cycles += b.memory_cycles;
-    stats.shared_cycles += b.shared_cycles;
-    stats.sync_cycles += b.sync_cycles;
+      stats.supersteps += b.supersteps;
+      stats.total_ops += b.total_ops;
+      stats.total_transactions += b.total_transactions;
+      stats.total_shared_transactions += b.total_shared_transactions;
+      stats.compute_cycles += b.compute_cycles;
+      stats.memory_cycles += b.memory_cycles;
+      stats.shared_cycles += b.shared_cycles;
+      stats.sync_cycles += b.sync_cycles;
+    }
   }
   stats.cycles = makespan;
   stats.millis = makespan / (spec_.clock_ghz * 1e6);

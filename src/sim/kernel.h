@@ -2,6 +2,7 @@
 #define GPUTC_SIM_KERNEL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/block_cost.h"
@@ -42,6 +43,10 @@ class KernelLauncher {
 
   /// Launches `blocks` in order and returns the aggregate stats.
   KernelStats Launch(const std::vector<BlockCost>& blocks) const;
+
+  /// Launches the blocks of `parts` in order, exactly as Launch would launch
+  /// their concatenation, without building it.
+  KernelStats LaunchParts(std::span<const std::vector<BlockCost>> parts) const;
 
   const DeviceSpec& spec() const { return spec_; }
 

@@ -11,7 +11,9 @@ namespace gputc {
 StatusOr<TcResult> SimTriangleCounter::TryCount(const DirectedGraph& g,
                                                 const DeviceSpec& spec,
                                                 const ExecContext& ctx) const {
-  return TryCountPricedBy(g, ctx, [&] { return Price(g, spec, ctx); });
+  return TryCountPricedBy(g, ctx, [&](const ExecContext& tc_ctx) {
+    return Price(g, spec, tc_ctx);
+  });
 }
 
 std::string SimTriangleCounter::site() const {
@@ -25,13 +27,16 @@ std::string SimTriangleCounter::site() const {
 
 StatusOr<TcResult> SimTriangleCounter::TryCountPricedBy(
     const DirectedGraph& g, const ExecContext& ctx,
-    const std::function<StatusOr<KernelStats>()>& price) const {
+    const std::function<StatusOr<KernelStats>(const ExecContext&)>& price)
+    const {
   const std::string entry = site();
   GPUTC_INJECT_FAULT(entry);
   Span span = StartSpan(ctx, entry);
+  const ExecContext tc_ctx = WithSpan(ctx, span);
   TcResult result;
-  GPUTC_ASSIGN_OR_RETURN(result.kernel, price());
-  GPUTC_ASSIGN_OR_RETURN(result.triangles, TryCountTrianglesDirected(g, ctx));
+  GPUTC_ASSIGN_OR_RETURN(result.kernel, price(tc_ctx));
+  GPUTC_ASSIGN_OR_RETURN(result.triangles,
+                         TryCountTrianglesDirected(g, tc_ctx));
   span.SetAttr("triangles", result.triangles);
   span.SetAttr("blocks", result.kernel.num_blocks);
   return result;

@@ -50,15 +50,18 @@ class SimTriangleCounter {
 
   /// Counts triangles of `g` on the simulated device under the execution
   /// envelope `ctx`: passes the entry fail point "tc.<algo>", prices the
-  /// kernel (Price), then runs the exact count. A cancellation or deadline
-  /// expiry is observed within one block's work (or 256 vertices of the
-  /// exact count); a count past ctx.count_limit surfaces as OutOfRange.
+  /// kernel (Price), then runs the exact count. Both run on the host pool,
+  /// under the "tc.<algo>" span's children "tc.price" and "tc.exact". A
+  /// cancellation or deadline expiry is observed within one block's work
+  /// (or 256 vertices of the exact count) on every thread; a count past
+  /// ctx.count_limit surfaces as OutOfRange.
   StatusOr<TcResult> TryCount(const DirectedGraph& g, const DeviceSpec& spec,
                               const ExecContext& ctx) const;
 
   /// The modelled kernel cost of `g` on `spec`. It depends on degrees only,
-  /// never on which triangles exist. Polls `ctx` and passes the "tc.block"
-  /// fail point before every priced block (BlockSkeleton).
+  /// never on which triangles exist. Opens the "tc.price" span, and polls
+  /// `ctx` and passes the "tc.block" fail point before every priced block
+  /// (BlockSkeleton).
   virtual StatusOr<KernelStats> Price(const DirectedGraph& g,
                                       const DeviceSpec& spec,
                                       const ExecContext& ctx) const = 0;
@@ -90,10 +93,11 @@ class SimTriangleCounter {
   std::string site() const;
 
   /// TryCount with `price` in place of Price: how Fox prices a caller's
-  /// edge order.
+  /// edge order. `price` gets `ctx` re-parented under the "tc.<algo>" span.
   StatusOr<TcResult> TryCountPricedBy(
       const DirectedGraph& g, const ExecContext& ctx,
-      const std::function<StatusOr<KernelStats>()>& price) const;
+      const std::function<StatusOr<KernelStats>(const ExecContext&)>& price)
+      const;
 };
 
 }  // namespace gputc

@@ -9,6 +9,7 @@
 #include "util/checked_math.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace gputc {
 
@@ -57,12 +58,17 @@ StatusOr<int64_t> TryCountTrianglesForward(const Graph& g,
   return triangles;
 }
 
-StatusOr<int64_t> TryCountTrianglesDirected(const DirectedGraph& g,
-                                            const ExecContext& ctx) {
-  CheckedInt64 triangles(ctx.count_limit);
-  std::vector<uint8_t> marked(g.num_vertices(), 0);
+namespace {
+
+/// The exact count of vertices [begin, end) into `triangles`, with `marked`
+/// (n bytes, all zero, and zero again on return) as the mark array. Polls
+/// `ctx` every 256 vertex ids.
+Status CountVertexRange(const DirectedGraph& g, const ExecContext& ctx,
+                        VertexId begin, VertexId end,
+                        std::vector<uint8_t>& marked,
+                        CheckedInt64& triangles) {
   constexpr VertexId kPollStride = 256;
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+  for (VertexId u = begin; u < end; ++u) {
     if (u % kPollStride == 0) {
       GPUTC_RETURN_IF_ERROR(ctx.CheckContinue("tc.exact"));
     }
@@ -77,6 +83,30 @@ StatusOr<int64_t> TryCountTrianglesDirected(const DirectedGraph& g,
     for (VertexId w : out_u) marked[w] = 0;
     triangles.Add(closed);
   }
+  return OkStatus();
+}
+
+}  // namespace
+
+StatusOr<int64_t> TryCountTrianglesDirected(const DirectedGraph& g,
+                                            const ExecContext& ctx) {
+  Span span = StartSpan(ctx, "tc.exact");
+  const ParallelSplit split = SplitByArcs(g.offsets());
+  span.SetAttr("threads", static_cast<int64_t>(split.threads));
+  // One mark array per thread. The caller allocates everything the tasks
+  // write, so pool threads never hold memory in malloc arenas of their own.
+  std::vector<std::vector<uint8_t>> marks(
+      static_cast<size_t>(split.threads),
+      std::vector<uint8_t>(g.num_vertices(), 0));
+  std::vector<CheckedInt64> partial(static_cast<size_t>(split.tasks()),
+                                    CheckedInt64(ctx.count_limit));
+  GPUTC_RETURN_IF_ERROR(ParallelFor(split, [&](const ParallelTask& task) {
+    return CountVertexRange(g, ctx, static_cast<VertexId>(task.begin),
+                            static_cast<VertexId>(task.end),
+                            marks[task.thread], partial[task.index]);
+  }));
+  CheckedInt64 triangles(ctx.count_limit);
+  for (const CheckedInt64& part : partial) triangles.Add(part);
   GPUTC_RETURN_IF_ERROR(triangles.ToStatus("triangle count"));
   return triangles.value();
 }

@@ -37,8 +37,10 @@ StatusOr<int64_t> TryCountTrianglesForward(const Graph& g,
 /// Counts directed wedges closed by an arc on an oriented graph; with an
 /// acyclic orientation this equals the triangle count of the underlying
 /// undirected graph. Exact. For each u it marks N+(u) in an n-byte array
-/// and probes every N+(v), v in N+(u). Polls `ctx` every 256 vertices and
-/// accumulates with a check against ctx.count_limit (OutOfRange past it).
+/// and probes every N+(v), v in N+(u). Arc-balanced vertex ranges run on the
+/// host pool (util/parallel.h), with one n-byte mark array per thread, under
+/// a "tc.exact" span. Polls `ctx` every 256 vertices and accumulates with a
+/// check against ctx.count_limit (OutOfRange past it).
 StatusOr<int64_t> TryCountTrianglesDirected(const DirectedGraph& g,
                                             const ExecContext& ctx);
 

@@ -134,43 +134,60 @@ TcResult FoxCounter::CountWithEdgeOrder(
 StatusOr<TcResult> FoxCounter::TryCountWithEdgeOrder(
     const DirectedGraph& g, const DeviceSpec& spec,
     const std::vector<int64_t>& edge_order, const ExecContext& ctx) const {
-  return TryCountPricedBy(
-      g, ctx, [&] { return PriceInOrder(g, spec, edge_order, ctx); });
+  return TryCountPricedBy(g, ctx, [&](const ExecContext& tc_ctx) {
+    return PriceInOrder(g, spec, edge_order, tc_ctx);
+  });
 }
 
 StatusOr<KernelStats> FoxCounter::PriceInOrder(
     const DirectedGraph& g, const DeviceSpec& spec,
     const std::vector<int64_t>& edge_order, const ExecContext& ctx) const {
+  BlockSkeleton skeleton(spec, ctx, site());
   GPUTC_ASSIGN_OR_RETURN(const std::vector<std::vector<int64_t>> bins,
                          RadixBins(g, edge_order));
   const std::vector<VertexId> sources = ArcSources(g);
-  BlockSkeleton skeleton(spec, ctx, site());
+  // Block k takes tasks [start, start + arcs[k + 1] - arcs[k]) of bin
+  // blocks[k].bin; the bins' blocks follow one another in bin order.
+  struct Block {
+    size_t bin;
+    size_t start;
+  };
+  std::vector<Block> blocks;
+  std::vector<int64_t> arcs = {0};
   for (size_t b = 0; b < bins.size(); ++b) {
-    const std::vector<int64_t>& bin = bins[b];
-    const bool warp_per_arc = WarpPerArc(b);
     const size_t tasks_per_block = TasksPerBlock(b, spec);
-    for (size_t block_start = 0; block_start < bin.size();
-         block_start += tasks_per_block) {
-      const size_t block_end =
-          std::min(bin.size(), block_start + tasks_per_block);
-      GPUTC_RETURN_IF_ERROR(skeleton.AddBlock([&](BlockCostModel& model) {
-        for (size_t i = block_start; i < block_end; ++i) {
-          const size_t pos = static_cast<size_t>(bin[i]);
-          const int64_t du = g.out_degree(sources[pos]);
-          const int64_t dv = g.out_degree(g.adjacency()[pos]);
-          const int task = static_cast<int>(i - block_start);
-          if (warp_per_arc) {
-            ChargeWarpSearch(model, task, du, dv, spec);
-          } else {
-            ThreadWork work = SequentialScan(dv, spec);
-            work += BinarySearchBatch(dv, du, /*shared=*/false, spec);
-            model.AddThreadWork(task, work);
-          }
-        }
-      }));
+    for (size_t start = 0; start < bins[b].size(); start += tasks_per_block) {
+      blocks.push_back(Block{b, start});
+      arcs.push_back(arcs.back() + static_cast<int64_t>(std::min(
+                                       tasks_per_block, bins[b].size() - start)));
     }
   }
-  return skeleton.Launch();
+  return skeleton.Launch(
+      arcs, [&](BlockPricer& pricer, int64_t begin, int64_t end) -> Status {
+        for (int64_t k = begin; k < end; ++k) {
+          const std::vector<int64_t>& bin = bins[blocks[k].bin];
+          const bool warp_per_arc = WarpPerArc(blocks[k].bin);
+          const size_t block_start = blocks[k].start;
+          const size_t block_end =
+              block_start + static_cast<size_t>(arcs[k + 1] - arcs[k]);
+          GPUTC_RETURN_IF_ERROR(pricer.AddBlock([&](BlockCostModel& model) {
+            for (size_t i = block_start; i < block_end; ++i) {
+              const size_t pos = static_cast<size_t>(bin[i]);
+              const int64_t du = g.out_degree(sources[pos]);
+              const int64_t dv = g.out_degree(g.adjacency()[pos]);
+              const int task = static_cast<int>(i - block_start);
+              if (warp_per_arc) {
+                ChargeWarpSearch(model, task, du, dv, spec);
+              } else {
+                ThreadWork work = SequentialScan(dv, spec);
+                work += BinarySearchBatch(dv, du, /*shared=*/false, spec);
+                model.AddThreadWork(task, work);
+              }
+            }
+          }));
+        }
+        return OkStatus();
+      });
 }
 
 }  // namespace gputc

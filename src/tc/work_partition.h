@@ -20,24 +20,25 @@ struct ArcRange {
   int64_t size() const { return end - begin; }
 };
 
-/// Splits the graph's arcs into per-block ranges of `bucket_size`
-/// consecutive vertices each. This is the mapping through which a vertex
+/// The CSR arc bounds of the per-block ranges of `bucket_size` consecutive
+/// vertices each: block b owns arcs [bounds[b], bounds[b + 1]), one entry
+/// per block plus one. This is the mapping through which a vertex
 /// reordering steers every kernel's block composition without changing the
 /// kernel: heavy vertices concentrated in one bucket (D-order) produce
 /// straggler blocks, while A-order's packing balances both block load and
 /// the compute/memory mix.
-inline std::vector<ArcRange> VertexBucketArcRanges(const DirectedGraph& g,
-                                                   int bucket_size) {
-  std::vector<ArcRange> ranges;
+inline std::vector<EdgeCount> VertexBucketArcBounds(const DirectedGraph& g,
+                                                    int bucket_size) {
+  std::vector<EdgeCount> bounds = {0};
   const VertexId n = g.num_vertices();
   for (VertexId start = 0; start < n;
        start += static_cast<VertexId>(bucket_size)) {
     const VertexId stop = static_cast<VertexId>(
         std::min<uint64_t>(n, static_cast<uint64_t>(start) +
                                   static_cast<uint64_t>(bucket_size)));
-    ranges.push_back(ArcRange{g.offsets()[start], g.offsets()[stop]});
+    bounds.push_back(g.offsets()[stop]);
   }
-  return ranges;
+  return bounds;
 }
 
 /// Source vertex of CSR arcs asked for in nondecreasing index order, starting

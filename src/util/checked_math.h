@@ -56,6 +56,18 @@ class CheckedInt64 {
     value_ = sum;
   }
 
+  /// Adds another accumulator's total, saturating if it saturated: summing
+  /// per-range partial counts this way overflows exactly when adding every
+  /// nonnegative delta to one accumulator would have.
+  void Add(const CheckedInt64& other) {
+    if (other.overflowed_) {
+      overflowed_ = true;
+      value_ = limit_;
+      return;
+    }
+    Add(other.value_);
+  }
+
   int64_t value() const { return value_; }
   bool overflowed() const { return overflowed_; }
 

@@ -11,6 +11,7 @@
 #include "graph/generators.h"
 #include "tc/cpu_counters.h"
 #include "util/failpoint.h"
+#include "util/parallel.h"
 
 namespace gputc {
 namespace {
@@ -254,6 +255,27 @@ TEST_F(ExecutorTest, MemoryBudgetIsCheckedBeforeAnyAttempt) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(result.status().ToString().find("budget"), std::string::npos);
   EXPECT_TRUE(trace.attempts.empty());
+}
+
+TEST_F(ExecutorTest, MemoryBudgetReservesAMarkArrayPerHostThread) {
+  // The exact count holds one n-byte mark array per host thread; a budget
+  // that covers everything else but not those arrays must refuse.
+  const int64_t marks =
+      static_cast<int64_t>(ParallelismLimit()) * g_.num_vertices();
+  ExecutionPolicy policy;
+  policy.mem_budget_bytes = EstimateHostBytes(g_) - marks;
+  const StatusOr<ExecutionResult> refused = ExecuteResilient(
+      g_, spec_, policy, {FallbackStage{false, TcAlgorithm::kHu}},
+      PreprocessOptions{});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(refused.status().ToString().find("budget"), std::string::npos);
+
+  policy.mem_budget_bytes = EstimateHostBytes(g_);
+  EXPECT_TRUE(ExecuteResilient(g_, spec_, policy,
+                               {FallbackStage{false, TcAlgorithm::kHu}},
+                               PreprocessOptions{})
+                  .ok());
 }
 
 TEST_F(ExecutorTest, ModelCeilingBreachFallsBackToCpu) {

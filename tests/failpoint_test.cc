@@ -317,5 +317,26 @@ TEST(CheckedMathTest, AccumulatorCatchesTrueInt64Overflow) {
   EXPECT_EQ(acc.ToStatus("sum").code(), StatusCode::kOutOfRange);
 }
 
+TEST(CheckedMathTest, MergedPartialsOverflowAsOneAccumulatorWould) {
+  // A partial that saturated alone, at the limit itself, still overflows
+  // the merge; partials that fit alone overflow once their sum passes.
+  CheckedInt64 saturated(/*limit=*/10);
+  saturated.Add(11);
+  CheckedInt64 merged(/*limit=*/10);
+  merged.Add(saturated);
+  EXPECT_TRUE(merged.overflowed());
+  EXPECT_EQ(merged.ToStatus("count").ToString(),
+            saturated.ToStatus("count").ToString());
+
+  CheckedInt64 six(/*limit=*/10);
+  six.Add(6);
+  CheckedInt64 sum(/*limit=*/10);
+  sum.Add(six);
+  EXPECT_FALSE(sum.overflowed());
+  sum.Add(six);
+  EXPECT_TRUE(sum.overflowed());
+  EXPECT_EQ(sum.value(), 10);
+}
+
 }  // namespace
 }  // namespace gputc

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "direction/direction.h"
 #include "graph/generators.h"
 #include "graph/permutation.h"
@@ -11,32 +13,26 @@ namespace {
 TEST(WorkPartitionTest, RangesCoverAllArcsExactlyOnce) {
   const Graph g = GenerateErdosRenyi(500, 2000, 81);
   const DirectedGraph d = Orient(g, DirectionStrategy::kDegreeBased);
-  const auto ranges = VertexBucketArcRanges(d, 64);
-  EXPECT_EQ(ranges.size(), (500 + 63) / 64);
-  int64_t covered = 0;
-  int64_t prev_end = 0;
-  for (const ArcRange& r : ranges) {
-    EXPECT_EQ(r.begin, prev_end);
-    EXPECT_GE(r.end, r.begin);
-    covered += r.size();
-    prev_end = r.end;
+  const auto bounds = VertexBucketArcBounds(d, 64);
+  EXPECT_EQ(bounds.size(), (500 + 63) / 64 + 1u);
+  EXPECT_EQ(bounds.front(), 0);
+  for (size_t b = 1; b < bounds.size(); ++b) {
+    EXPECT_GE(bounds[b], bounds[b - 1]);
   }
-  EXPECT_EQ(covered, d.num_edges());
+  EXPECT_EQ(bounds.back(), d.num_edges());
 }
 
 TEST(WorkPartitionTest, BucketBoundariesFollowVertexIds) {
   const Graph g = StarGraph(10);  // Hub 0 with 9 leaves.
   const DirectedGraph d = Orient(g, DirectionStrategy::kIdBased);
   // ID orientation: all 9 arcs belong to vertex 0.
-  const auto ranges = VertexBucketArcRanges(d, 5);
-  ASSERT_EQ(ranges.size(), 2u);
-  EXPECT_EQ(ranges[0].size(), 9);  // Vertices 0..4 own every arc.
-  EXPECT_EQ(ranges[1].size(), 0);  // Vertices 5..9 own none.
+  // Vertices 0..4 own every arc; vertices 5..9 own none.
+  EXPECT_EQ(VertexBucketArcBounds(d, 5), (std::vector<EdgeCount>{0, 9, 9}));
 }
 
 TEST(WorkPartitionTest, EmptyGraph) {
   const DirectedGraph d = DirectedGraph::FromParts({0}, {});
-  EXPECT_TRUE(VertexBucketArcRanges(d, 8).empty());
+  EXPECT_EQ(VertexBucketArcBounds(d, 8), std::vector<EdgeCount>{0});
 }
 
 TEST(WorkPartitionTest, ArcSourcesMatchCsr) {
@@ -60,13 +56,12 @@ TEST(WorkPartitionTest, SourceCursorMatchesArcSourcesInEveryBucket) {
   const DirectedGraph d = Orient(g, DirectionStrategy::kADirection);
   const auto sources = ArcSources(d);
   constexpr int kBucket = 16;
-  VertexId first = 0;
-  for (const ArcRange& r : VertexBucketArcRanges(d, kBucket)) {
-    SourceCursor cursor(d, first);
-    for (int64_t i = r.begin; i < r.end; ++i) {
+  const auto bounds = VertexBucketArcBounds(d, kBucket);
+  for (size_t b = 0; b + 1 < bounds.size(); ++b) {
+    SourceCursor cursor(d, static_cast<VertexId>(b * kBucket));
+    for (int64_t i = bounds[b]; i < bounds[b + 1]; ++i) {
       EXPECT_EQ(cursor(i), sources[static_cast<size_t>(i)]) << "arc " << i;
     }
-    first += kBucket;
   }
 }
 
@@ -75,17 +70,17 @@ TEST(WorkPartitionTest, ReorderingMovesArcsBetweenBuckets) {
   // arc content of each fixed-id-range block.
   const Graph g = GeneratePowerLawConfiguration(256, 2.0, 1, 60, 83);
   const DirectedGraph d = Orient(g, DirectionStrategy::kDegreeBased);
-  const auto before = VertexBucketArcRanges(d, 64);
+  const auto before = VertexBucketArcBounds(d, 64);
   // Reverse the ids.
   Permutation perm(256);
   for (VertexId v = 0; v < 256; ++v) perm[v] = 255 - v;
   const DirectedGraph relabeled = ApplyPermutation(d, perm);
-  const auto after = VertexBucketArcRanges(relabeled, 64);
-  ASSERT_EQ(before.size(), after.size());
-  // First bucket's load before == last bucket's load after (reversal), and
-  // at least one bucket changed if loads are nonuniform.
-  EXPECT_EQ(before.front().size(), after.back().size());
-  EXPECT_EQ(before.back().size(), after.front().size());
+  const auto after = VertexBucketArcBounds(relabeled, 64);
+  ASSERT_EQ(before.size(), 5u);
+  ASSERT_EQ(after.size(), 5u);
+  // First bucket's load before == last bucket's load after (reversal).
+  EXPECT_EQ(before[1] - before[0], after[4] - after[3]);
+  EXPECT_EQ(before[4] - before[3], after[1] - after[0]);
 }
 
 }  // namespace
