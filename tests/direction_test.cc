@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "direction/cost_model.h"
 #include "direction/direction.h"
@@ -136,6 +140,92 @@ TEST(ADirectionTest, ThresholdGrowthSweepStaysValid) {
     const DirectedGraph d = DirectedGraph::FromRank(
         g, PermutationFromSequence(result.peel_order));
     EXPECT_TRUE(HasNoDirectedTriangleCycle(g, d));
+  }
+}
+
+/// A-direction in its original form, the reference the production peel
+/// must match bit for bit: each round re-scans every vertex, comparison-sorts
+/// the frontier by (residual degree, id) and drains it through a std::deque.
+PeelingResult ReferencePeel(const Graph& g, double threshold_growth) {
+  const VertexId n = g.num_vertices();
+  PeelingResult result;
+  if (n == 0) return result;
+  std::vector<EdgeCount> residual(n);
+  for (VertexId v = 0; v < n; ++v) residual[v] = g.degree(v);
+  std::vector<bool> peeled(n, false);
+  std::vector<bool> queued(n, false);
+  double threshold = std::max(
+      1.0, static_cast<double>(g.num_edges()) / static_cast<double>(n));
+  VertexId remaining = n;
+  while (remaining > 0) {
+    std::vector<VertexId> frontier;
+    for (VertexId v = 0; v < n; ++v) {
+      if (!peeled[v] && static_cast<double>(residual[v]) <= threshold) {
+        frontier.push_back(v);
+      }
+    }
+    if (frontier.empty()) {
+      threshold *= threshold_growth;
+      ++result.rounds;
+      continue;
+    }
+    std::sort(frontier.begin(), frontier.end(), [&](VertexId a, VertexId b) {
+      return residual[a] != residual[b] ? residual[a] < residual[b] : a < b;
+    });
+    std::deque<VertexId> queue(frontier.begin(), frontier.end());
+    for (VertexId v : frontier) queued[v] = true;
+    while (!queue.empty()) {
+      const VertexId v = queue.front();
+      queue.pop_front();
+      peeled[v] = true;
+      --remaining;
+      result.peel_degree = std::max(result.peel_degree, residual[v]);
+      result.peel_order.push_back(v);
+      for (VertexId nbr : g.neighbors(v)) {
+        if (peeled[nbr]) continue;
+        --residual[nbr];
+        if (!queued[nbr] && static_cast<double>(residual[nbr]) <= threshold) {
+          queued[nbr] = true;
+          queue.push_back(nbr);
+        }
+      }
+    }
+    threshold *= threshold_growth;
+    ++result.rounds;
+  }
+  return result;
+}
+
+TEST(ADirectionTest, PeelMatchesReferenceBitForBit) {
+  EdgeList sparse;  // Two small components among mostly isolated vertices.
+  sparse.Add(0, 1);
+  sparse.Add(1, 2);
+  sparse.Add(0, 2);
+  sparse.Add(2, 9);
+  sparse.Add(20, 21);
+  sparse.Add(21, 22);
+  sparse.set_num_vertices(40);
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("rmat", GenerateRmat(12, 8, 61));
+  graphs.emplace_back("ws", GenerateWattsStrogatz(20000, 8, 0.1, 62));
+  graphs.emplace_back("powerlaw",
+                      GeneratePowerLawConfiguration(5000, 2.1, 1, 400, 63));
+  graphs.emplace_back("er", GenerateErdosRenyi(4000, 20000, 64));
+  graphs.emplace_back("star", StarGraph(300));
+  graphs.emplace_back("path", PathGraph(257));
+  graphs.emplace_back("isolated", Graph::FromEdgeList(std::move(sparse)));
+  graphs.emplace_back("empty", Graph::FromEdgeList(EdgeList{}));
+  for (const auto& [name, g] : graphs) {
+    for (const double growth : {1.25, 2.0, 3.0, 8.0}) {
+      SCOPED_TRACE(name + " growth=" + std::to_string(growth));
+      PeelingOptions options;
+      options.threshold_growth = growth;
+      const PeelingResult got = ADirectionPeel(g, options);
+      const PeelingResult want = ReferencePeel(g, growth);
+      EXPECT_EQ(got.peel_order, want.peel_order);
+      EXPECT_EQ(got.rounds, want.rounds);
+      EXPECT_EQ(got.peel_degree, want.peel_degree);
+    }
   }
 }
 

@@ -348,6 +348,85 @@ TEST(AOrderTest, CancelledRunMatchesReferenceTail) {
   }
 }
 
+/// `n` entries drawn from `values`, skewed towards the front of the list the
+/// way a sparse graph's out-degrees crowd at a few small values.
+std::vector<EdgeCount> FewDegrees(Rng& rng, size_t n,
+                                  const std::vector<EdgeCount>& values) {
+  std::vector<EdgeCount> degrees(n);
+  for (EdgeCount& d : degrees) {
+    const uint64_t a = rng.NextBounded(values.size());
+    const uint64_t b = rng.NextBounded(values.size());
+    d = values[std::min(a, b)];
+  }
+  return degrees;
+}
+
+TEST(AOrderTest, MatchesReferenceOnFewDistinctDegrees) {
+  const ResourceModel model = TestModel();
+  // Degrees up to 2 are compute-dominated under this model, 3 and up
+  // memory-dominated.
+  ASSERT_LE(model.MemorySuperiority(2), 0.0);
+  ASSERT_GT(model.MemorySuperiority(3), 0.0);
+  const std::vector<std::vector<EdgeCount>> value_sets = {
+      {1},
+      {5},
+      {1, 4096},
+      {0, 1, 4096},  // Degrees 0 and 1 share one superiority.
+      {2, 3, 4096},
+      {0, 1, 2, 3, 4, 5, 6, 7, 8},  // A ring lattice's directed degrees.
+      {0, 1, 2, 3, 4, 8, 1024, 4096, 65536},
+  };
+  Rng rng(2718);
+  for (const int bucket : {1, 8, 37, 256, 1024}) {
+    for (const auto& values : value_sets) {
+      for (const size_t n : {size_t{1}, size_t{300}, size_t{5000}}) {
+        ExpectMatchesReference(FewDegrees(rng, n, values), model,
+                               AOrderOptions{bucket});
+      }
+    }
+    const auto& values = value_sets[static_cast<size_t>(bucket) %
+                                    value_sets.size()];
+    ExpectMatchesReference(FewDegrees(rng, 100000, values), model,
+                           AOrderOptions{bucket});
+    ExpectMatchesReference(FewDegrees(rng, 100000, value_sets.back()), model,
+                           AOrderOptions{bucket, /*sort_within_bucket=*/false});
+  }
+}
+
+TEST(AOrderTest, MatchesReferenceWhenASumAbsorbsTheRun) {
+  // BW(1) = 1 with lambda = 1 gives degrees 0 and 1 a superiority of exactly
+  // 0 (compute-dominated). BW(4) is the square of the double after 0.5, so
+  // degree 4 is memory-dominated by one ulp of 0.5, below half an ulp of any
+  // bucket sum that holds a degree-16 vertex. Adding either to such a sum
+  // leaves it unchanged, in both phases.
+  const double after_half = std::nextafter(0.5, 1.0);
+  const ResourceModel model(
+      1.0, {1.0, 0.01, after_half * after_half, 1.0, 100.0});
+  const double zero = model.MemorySuperiority(1);
+  const double tiny = model.MemorySuperiority(4);
+  const double big = model.MemorySuperiority(16);
+  ASSERT_EQ(zero, 0.0);
+  ASSERT_EQ(model.MemorySuperiority(0), 0.0);
+  ASSERT_GT(tiny, 0.0);
+  ASSERT_GT(big, 1.0);
+  ASSERT_EQ(big + tiny, big);
+  ASSERT_LT(model.MemorySuperiority(2), 0.0);
+  Rng rng(31337);
+  for (const int bucket : {1, 3, 8, 37}) {
+    for (const size_t n : {size_t{7}, size_t{100}, size_t{2000}}) {
+      // The degree-16 vertices reach some, all or none of the buckets before
+      // the degree-4 run starts.
+      for (const std::vector<EdgeCount>& values :
+           {std::vector<EdgeCount>{4, 1, 16, 0, 2},
+            std::vector<EdgeCount>{16, 4, 1, 2, 0},
+            std::vector<EdgeCount>{1, 4, 0}}) {
+        ExpectMatchesReference(FewDegrees(rng, n, values), model,
+                               AOrderOptions{bucket});
+      }
+    }
+  }
+}
+
 TEST(ResourceModelTest, IntensityShapes) {
   const ResourceModel model = TestModel();
   // F_c decreasing in degree, F_m nondecreasing.
