@@ -9,6 +9,7 @@
 #include "direction/direction.h"
 #include "direction/peeling.h"
 #include "graph/datasets.h"
+#include "graph/generators.h"
 #include "graph/permutation.h"
 #include "order/aorder.h"
 #include "order/calibration.h"
@@ -29,14 +30,30 @@ const DirectedGraph& GowallaDirected() {
   return *kGraph;
 }
 
-void BM_ADirectionPeel(benchmark::State& state) {
-  const Graph& g = Gowalla();
+// The shape of perfbench's sparse-count input: Watts–Strogatz, 2^20
+// vertices, k = 8, beta = 0.1, under A-direction. Gowalla's 30k vertices
+// are too few for the preprocessing loops' per-vertex costs to show.
+const Graph& WattsStrogatz() {
+  static const Graph* const kGraph =
+      new Graph(GenerateWattsStrogatz(VertexId{1} << 20, 8, 0.1, 1));
+  return *kGraph;
+}
+
+const DirectedGraph& WattsStrogatzDirected() {
+  static const DirectedGraph* const kGraph = new DirectedGraph(
+      Orient(WattsStrogatz(), DirectionStrategy::kADirection));
+  return *kGraph;
+}
+
+void BM_ADirectionPeel(benchmark::State& state, const Graph& (*graph)()) {
+  const Graph& g = graph();
   for (auto _ : state) {
     benchmark::DoNotOptimize(ADirectionPeel(g));
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
-BENCHMARK(BM_ADirectionPeel);
+BENCHMARK_CAPTURE(BM_ADirectionPeel, gowalla, &Gowalla);
+BENCHMARK_CAPTURE(BM_ADirectionPeel, ws_2e20_k8, &WattsStrogatz);
 
 void BM_DegreeDirectionRank(benchmark::State& state) {
   const Graph& g = Gowalla();
@@ -48,8 +65,8 @@ void BM_DegreeDirectionRank(benchmark::State& state) {
 }
 BENCHMARK(BM_DegreeDirectionRank);
 
-void BM_AOrder(benchmark::State& state) {
-  const DirectedGraph& d = GowallaDirected();
+void BM_AOrder(benchmark::State& state, const DirectedGraph& (*graph)()) {
+  const DirectedGraph& d = graph();
   const ResourceModel model =
       CalibratedResourceModel(DeviceSpec::TitanXpLike());
   const std::vector<EdgeCount> degs = d.OutDegrees();
@@ -59,7 +76,11 @@ void BM_AOrder(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * d.num_vertices());
 }
-BENCHMARK(BM_AOrder)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK_CAPTURE(BM_AOrder, gowalla, &GowallaDirected)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024);
+BENCHMARK_CAPTURE(BM_AOrder, ws_2e20_k8, &WattsStrogatzDirected)->Arg(256);
 
 void BM_ClassicOrder_Dfs(benchmark::State& state) {
   const Graph& g = Gowalla();

@@ -1,12 +1,17 @@
 #include "direction/peeling.h"
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
 
 #include "obs/trace.h"
 #include "util/logging.h"
 
 namespace gputc {
+namespace {
+
+enum VertexState : uint8_t { kFree, kQueued, kPeeled };
+
+}  // namespace
 
 PeelingResult ADirectionPeel(const Graph& g, const PeelingOptions& options) {
   GPUTC_CHECK_GT(options.threshold_growth, 1.0);
@@ -17,56 +22,67 @@ PeelingResult ADirectionPeel(const Graph& g, const PeelingOptions& options) {
   result.peel_order.reserve(n);
   if (n == 0) return result;
 
-  std::vector<EdgeCount> residual(n);
-  for (VertexId v = 0; v < n; ++v) residual[v] = g.degree(v);
-  std::vector<bool> peeled(n, false);
-  std::vector<bool> queued(n, false);
+  // A simple graph's degrees are below n, so they fit the vertex id type.
+  std::vector<VertexId> residual(n);
+  VertexId max_degree = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    residual[v] = static_cast<VertexId>(g.degree(v));
+    max_degree = std::max(max_degree, residual[v]);
+  }
+  std::vector<VertexState> state(n, kFree);
+  std::vector<VertexId> frontier;
+  std::vector<VertexId> slots;  // Counting-sort cursors, one per residual.
 
   // Initial threshold is the paper's d~_avg = |E| / |V| (at least 1 so the
   // first round can make progress on degree-1 fringes).
   double threshold = std::max(
       1.0, static_cast<double>(g.num_edges()) / static_cast<double>(n));
 
-  VertexId remaining = n;
-  while (remaining > 0) {
-    // Collect this round's frontier: unpeeled vertices at or below the
-    // threshold, seeded in ascending (residual degree, id) order so edges
-    // run from smaller to larger degree, matching Lines 9-11.
-    std::vector<VertexId> frontier;
+  std::vector<VertexId>& order = result.peel_order;
+  while (order.size() < n) {
+    // Residuals are integers, so `residual <= threshold` is
+    // `residual <= floor(threshold)`; the cap keeps the cast in range once
+    // the threshold passes every degree.
+    const VertexId limit =
+        threshold >= static_cast<double>(max_degree)
+            ? max_degree
+            : static_cast<VertexId>(threshold);
+    // Collect this round's frontier: free vertices at or below the
+    // threshold, in id order.
+    frontier.clear();
     for (VertexId v = 0; v < n; ++v) {
-      if (!peeled[v] &&
-          static_cast<double>(residual[v]) <= threshold) {
-        frontier.push_back(v);
+      if (state[v] == kFree && residual[v] <= limit) frontier.push_back(v);
+    }
+    if (!frontier.empty()) {
+      // Seed the queue in ascending (residual degree, id) order so edges run
+      // from smaller to larger degree, matching Lines 9-11: a stable counting
+      // sort over the residuals of an id-ordered frontier.
+      slots.assign(static_cast<size_t>(limit) + 2, 0);
+      for (VertexId v : frontier) ++slots[residual[v] + 1];
+      for (size_t r = 1; r < slots.size(); ++r) slots[r] += slots[r - 1];
+      const size_t head = order.size();
+      order.resize(head + frontier.size());
+      for (VertexId v : frontier) {
+        order[head + slots[residual[v]]++] = v;
+        state[v] = kQueued;
       }
-    }
-    if (frontier.empty()) {
-      threshold *= options.threshold_growth;
-      ++result.rounds;
-      continue;
-    }
-    std::sort(frontier.begin(), frontier.end(), [&](VertexId a, VertexId b) {
-      return residual[a] != residual[b] ? residual[a] < residual[b] : a < b;
-    });
-    std::deque<VertexId> queue(frontier.begin(), frontier.end());
-    for (VertexId v : frontier) queued[v] = true;
-
-    while (!queue.empty()) {
-      const VertexId v = queue.front();
-      queue.pop_front();
-      peeled[v] = true;
-      --remaining;
-      result.peel_degree = std::max(result.peel_degree, residual[v]);
-      result.peel_order.push_back(v);
-      // Peeling v implicitly orients every still-undirected incident edge
-      // away from v; neighbours lose one residual degree and may join the
-      // frontier (Lines 12-16).
-      for (VertexId nbr : g.neighbors(v)) {
-        if (peeled[nbr]) continue;
-        --residual[nbr];
-        if (!queued[nbr] &&
-            static_cast<double>(residual[nbr]) <= threshold) {
-          queued[nbr] = true;
-          queue.push_back(nbr);
+      // peel_order is the FIFO queue: vertices are popped in the order they
+      // were pushed, so the pop cursor walks it and pushes append to it.
+      for (size_t next = head; next < order.size(); ++next) {
+        const VertexId v = order[next];
+        state[v] = kPeeled;
+        result.peel_degree =
+            std::max(result.peel_degree, static_cast<EdgeCount>(residual[v]));
+        // Peeling v implicitly orients every still-undirected incident edge
+        // away from v; neighbours lose one residual degree and may join the
+        // frontier (Lines 12-16).
+        for (VertexId nbr : g.neighbors(v)) {
+          if (state[nbr] == kPeeled) continue;
+          --residual[nbr];
+          if (state[nbr] == kFree && residual[nbr] <= limit) {
+            state[nbr] = kQueued;
+            order.push_back(nbr);
+          }
         }
       }
     }

@@ -41,8 +41,14 @@ struct PeelingResult {
 /// equal-degree frontier edges ambiguous, which can create a directed
 /// 3-cycle; ordering by pop time is a strict total order, so the orientation
 /// is acyclic while preserving the paper's small-degree -> large-degree
-/// intent (see DESIGN.md, "A-direction acyclicity"). Runs in
-/// O(|E| + |V| log |V|).
+/// intent (see DESIGN.md, "A-direction acyclicity").
+///
+/// Runs in O(R * |V| + |E|) for R rounds, with R at most
+/// 1 + ceil(log_g(d_max / max(1, d~_avg))) at threshold growth g. Each round
+/// scans the vertices once and seeds its frontier with a stable counting sort
+/// over the residual degrees, O(frontier + min(threshold, d_max)); the
+/// frontier drains through peel_order itself, which visits every edge twice
+/// over the whole run.
 PeelingResult ADirectionPeel(const Graph& g, const PeelingOptions& options = {});
 
 }  // namespace gputc

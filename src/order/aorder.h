@@ -44,14 +44,22 @@ struct AOrderResult {
 /// compute-dominated vertices into the bucket with the largest, yielding
 /// buckets whose compute and memory demands offset each other. Vertices are
 /// dispatched in descending |mem_sup| so the largest contributions are
-/// placed while the heap still has slack (the paper does not fix a dispatch
-/// order; this is the standard greedy-balancing choice).
+/// placed while every bucket still has room (the paper does not fix a
+/// dispatch order; this is the standard greedy-balancing choice). Ties
+/// between buckets go to the lowest bucket id.
 ///
-/// O(n + D log D + n log B) time for n vertices, D distinct degrees and B
-/// buckets, plus O(n log bucket_size) for sort_within_bucket: the model is
-/// evaluated once per distinct degree, the dispatch order is a counting sort
-/// over the distinct |mem_sup| values, and the heap packing costs log B per
-/// vertex. Memory is O(n + the largest degree). The Eq. 3 objective of the result is
+/// The model is evaluated once per distinct degree and the dispatch order is
+/// a counting sort over the distinct |mem_sup| values: O(n + D log D) for n
+/// vertices and D distinct degrees. Packing places each run of equal
+/// |mem_sup| a level at a time (a level is the open buckets whose sums
+/// compare equal), which yields the buckets the vertex-at-a-time greedy
+/// picks: O(1) per vertex plus, per level drain, O(log B) in the ordered map
+/// of B buckets' levels and the length of the level the moved buckets merge
+/// into. Each drain places at least one vertex, so there are at most n, and
+/// far fewer when out-degrees repeat (DESIGN.md gives measured counts).
+/// sort_within_bucket adds
+/// O(n log bucket_size). Memory is O(n + the largest degree). The Eq. 3
+/// objective of the result is
 /// OrderingImbalanceCost(out_degrees, perm, bucket_size, model).
 ///
 /// `out_degrees[v]` is d~(v) in the directed graph the counting kernel will

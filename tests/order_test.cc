@@ -5,10 +5,12 @@
 #include <cstring>
 #include <queue>
 #include <set>
+#include <string>
 
 #include "direction/direction.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
+#include "obs/trace.h"
 #include "order/aorder.h"
 #include "order/calibration.h"
 #include "order/ordering.h"
@@ -425,6 +427,80 @@ TEST(AOrderTest, MatchesReferenceWhenASumAbsorbsTheRun) {
       }
     }
   }
+}
+
+TEST(AOrderTest, MatchesReferenceWhenLevelsMerge) {
+  // At degrees 4^k both intensities are exact dyadic values, so these
+  // superiorities are 1, 2, 3, 4, -1/16 and -1/32 exactly. Bucket sums then
+  // coincide: buckets drained from one level land on a sum another level
+  // already holds, in both phases.
+  const ResourceModel model(1.0, {4.0, 1.0, 6.25, 1.0, 10.5625, 1.0,
+                                  17.015625, 1.0, 0.0, 1.0, 0.0});
+  const std::vector<EdgeCount> values = {1, 4, 256, 16, 1024, 64};
+  const std::vector<double> want = {1.0, 2.0, -0.0625, 3.0, -0.03125, 4.0};
+  for (size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(model.MemorySuperiority(values[i]), want[i]) << values[i];
+  }
+  Rng rng(4242);
+  for (const int bucket : {1, 3, 8, 37}) {
+    for (const size_t n : {size_t{10}, size_t{200}, size_t{3000}}) {
+      ExpectMatchesReference(FewDegrees(rng, n, values), model,
+                             AOrderOptions{bucket});
+    }
+  }
+}
+
+TEST(AOrderTest, CancelledAbsorbingRunMatchesReferenceTail) {
+  // Degree 2 has a superiority of exactly 0 under this model, so packing
+  // starts with a run that the first level absorbs, and the stop lands
+  // inside it.
+  const ResourceModel model = TestModel();
+  ASSERT_EQ(model.MemorySuperiority(2), 0.0);
+  ExecContext ctx;
+  ctx.cancel.Cancel("test");
+  for (const int bucket : {1, 8, 256}) {
+    AOrderOptions options{bucket};
+    options.exec = &ctx;
+    const std::vector<EdgeCount> degrees(3000, 2);
+    ASSERT_TRUE(AOrder(degrees, model, options).aborted);
+    ExpectMatchesReference(degrees, model, options);
+  }
+}
+
+std::string AttrOf(const SpanRecord& span, const std::string& key) {
+  for (const auto& [k, v] : span.attrs) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+TEST(AOrderTest, TracedPassesDrainFarFewerLevelsThanVertices) {
+  // A flat graph's out-degrees take a handful of values, so each pass moves
+  // whole levels of buckets at a time.
+  const Graph g = GenerateWattsStrogatz(1 << 16, 8, 0.1, 5);
+  const std::vector<EdgeCount> degrees =
+      Orient(g, DirectionStrategy::kADirection).OutDegrees();
+  const ResourceModel model = TestModel();
+  Tracer tracer;
+  ExecContext ctx;
+  ctx.tracer = &tracer;
+  ctx.trace_id = tracer.NewTraceId();
+  AOrderOptions options{256};
+  options.exec = &ctx;
+  const AOrderResult traced = AOrder(degrees, model, options);
+  EXPECT_EQ(traced.perm, AOrder(degrees, model, AOrderOptions{256}).perm);
+  int passes = 0;
+  for (const SpanRecord& span : tracer.Snapshot()) {
+    if (span.name != "aorder.pass") continue;
+    ++passes;
+    const int64_t vertices = std::stoll(AttrOf(span, "vertices"));
+    const int64_t levels = std::stoll(AttrOf(span, "levels"));
+    SCOPED_TRACE(AttrOf(span, "phase"));
+    EXPECT_GT(vertices, 0);
+    EXPECT_GT(levels, 0);
+    EXPECT_LT(levels * 20, vertices) << levels << " levels, " << vertices;
+  }
+  EXPECT_EQ(passes, 2);
 }
 
 TEST(ResourceModelTest, IntensityShapes) {
