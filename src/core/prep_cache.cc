@@ -125,27 +125,23 @@ int64_t PrepArtifact::ByteSize() const {
   return static_cast<int64_t>(offsets.size() * sizeof(EdgeCount) +
                               adj.size() * sizeof(VertexId) +
                               vertex_perm.size() * sizeof(VertexId) +
-                              bw_by_log2_len.size() * sizeof(double) +
                               sizeof(PrepArtifact));
 }
 
 std::string EncodePrepArtifact(const PrepArtifact& artifact) {
   std::string out;
-  out.reserve(sizeof(kArtifactMagic) + 4 * sizeof(uint64_t) + 1 +
+  out.reserve(sizeof(kArtifactMagic) + 3 * sizeof(uint64_t) +
               3 * sizeof(double) + static_cast<size_t>(artifact.ByteSize()));
   out.append(kArtifactMagic, sizeof(kArtifactMagic));
   AppendScalar<uint64_t>(&out, artifact.offsets.size());
   AppendScalar<uint64_t>(&out, artifact.adj.size());
   AppendScalar<uint64_t>(&out, artifact.vertex_perm.size());
-  AppendScalar<uint64_t>(&out, artifact.bw_by_log2_len.size());
-  AppendScalar<uint8_t>(&out, artifact.calibrated ? 1 : 0);
   AppendScalar<double>(&out, artifact.lambda);
   AppendScalar<double>(&out, artifact.direction_cost);
   AppendScalar<double>(&out, artifact.ordering_cost);
   AppendRaw(&out, artifact.offsets);
   AppendRaw(&out, artifact.adj);
   AppendRaw(&out, artifact.vertex_perm);
-  AppendRaw(&out, artifact.bw_by_log2_len);
   return out;
 }
 
@@ -160,16 +156,13 @@ StatusOr<PrepArtifact> DecodePrepArtifact(std::string_view bytes) {
   const uint64_t n_offsets = reader.Scalar<uint64_t>();
   const uint64_t n_adj = reader.Scalar<uint64_t>();
   const uint64_t n_perm = reader.Scalar<uint64_t>();
-  const uint64_t n_bw = reader.Scalar<uint64_t>();
   PrepArtifact artifact;
-  artifact.calibrated = reader.Scalar<uint8_t>() != 0;
   artifact.lambda = reader.Scalar<double>();
   artifact.direction_cost = reader.Scalar<double>();
   artifact.ordering_cost = reader.Scalar<double>();
   artifact.offsets = reader.Array<EdgeCount>(n_offsets);
   artifact.adj = reader.Array<VertexId>(n_adj);
   artifact.vertex_perm = reader.Array<VertexId>(n_perm);
-  artifact.bw_by_log2_len = reader.Array<double>(n_bw);
   if (!reader.ok || reader.left != 0) {
     return InvalidArgumentError(
         "DecodePrepArtifact: truncated or oversized artifact body");

@@ -51,16 +51,16 @@ namespace gputc {
 /// Bump when the artifact contents or the fingerprint inputs change shape:
 /// old cache entries (tier 1 and tier 2) become unreachable instead of being
 /// misinterpreted.
-inline constexpr int kPrepCacheSchemaVersion = 1;
+inline constexpr int kPrepCacheSchemaVersion = 2;
 
 /// Tier-1 byte budget used when a caller enables the cache without sizing it
 /// (`--prep-cache DIR` with no `--prep-cache-mb`).
 inline constexpr int64_t kDefaultPrepCacheBytes = int64_t{256} << 20;
 
 /// Everything preprocessing produces that is worth reusing: the oriented +
-/// relabeled CSR the counters consume, the vertex permutation, the
-/// calibration table, and the cost diagnostics. Deliberately *excludes*
-/// timings — those describe one run, not the artifact.
+/// relabeled CSR the counters consume, the vertex permutation, the model's
+/// lambda, and the cost diagnostics. Deliberately *excludes* timings — those
+/// describe one run, not the artifact.
 struct PrepArtifact {
   /// CSR of the preprocessed DirectedGraph (post-orientation,
   /// post-relabeling) — DirectedGraph::FromParts(offsets, adj) rebuilds it
@@ -69,11 +69,7 @@ struct PrepArtifact {
   std::vector<VertexId> adj;
   /// old id -> new id mapping the relabeling applied.
   Permutation vertex_perm;
-  /// Calibration carried by the artifact (valid when `calibrated`): lambda
-  /// plus the BW(2^i) table, enough to rebuild the ResourceModel exactly.
-  bool calibrated = false;
-  double lambda = 0.0;
-  std::vector<double> bw_by_log2_len;
+  double lambda = 0.0;          // The resource model's lambda.
   double direction_cost = 0.0;  // Eq. 1 of the cached orientation.
   double ordering_cost = 0.0;   // Eq. 3 of the cached ordering.
 
@@ -221,7 +217,7 @@ class PrepCache {
 };
 
 /// Rebuilds a PreprocessResult from a cached artifact: FromParts + the
-/// stored permutation/costs/calibration. Deterministic and allocation-only,
+/// stored permutation, lambda and costs. Deterministic and allocation-only,
 /// so a cache hit's result is byte-identical to the compute that produced
 /// the artifact. Timings report the rebuild, not the original compute.
 StatusOr<PreprocessResult> MaterializePreprocess(const PrepArtifact& artifact,

@@ -39,14 +39,20 @@ PreprocessResult Preprocess(const Graph& g, const DeviceSpec& spec,
 
 namespace {
 
+StatusOr<ResourceModel> ResolveModel(const DeviceSpec& spec,
+                                     const PreprocessOptions& options) {
+  if (options.calibrate) return TryCalibratedResourceModel(spec);
+  return ResourceModel::Default();
+}
+
 /// The fused (uncached) pipeline body, shared by the direct path and the
-/// cache's fill function. `model` is resolved by the caller so the cache can
-/// snapshot its BW table into the artifact.
-StatusOr<PreprocessResult> PreprocessWithModel(const Graph& g,
-                                               const DeviceSpec& spec,
-                                               const PreprocessOptions& options,
-                                               const ResourceModel& model,
-                                               const ExecContext& ctx) {
+/// cache's fill function.
+StatusOr<PreprocessResult> PreprocessUncached(const Graph& g,
+                                              const DeviceSpec& spec,
+                                              const PreprocessOptions& options,
+                                              const ExecContext& ctx) {
+  GPUTC_ASSIGN_OR_RETURN(const ResourceModel model,
+                         ResolveModel(spec, options));
   PreprocessResult result;
   result.lambda = model.lambda();
 
@@ -91,12 +97,6 @@ StatusOr<PreprocessResult> PreprocessWithModel(const Graph& g,
   return result;
 }
 
-StatusOr<ResourceModel> ResolveModel(const DeviceSpec& spec,
-                                     const PreprocessOptions& options) {
-  if (options.calibrate) return TryCalibratedResourceModel(spec);
-  return ResourceModel::Default();
-}
-
 }  // namespace
 
 StatusOr<PreprocessResult> TryPreprocess(const Graph& g,
@@ -115,27 +115,20 @@ StatusOr<PreprocessResult> TryPreprocess(const Graph& g,
         }));
     return MaterializePreprocess(*artifact, ctx);
   }
-
-  GPUTC_ASSIGN_OR_RETURN(const ResourceModel model,
-                         ResolveModel(spec, options));
-  return PreprocessWithModel(g, spec, options, model, ctx);
+  return PreprocessUncached(g, spec, options, ctx);
 }
 
 StatusOr<PrepArtifact> ComputePrepArtifact(const Graph& g,
                                            const DeviceSpec& spec,
                                            const PreprocessOptions& options,
                                            const ExecContext& ctx) {
-  GPUTC_ASSIGN_OR_RETURN(const ResourceModel model,
-                         ResolveModel(spec, options));
   GPUTC_ASSIGN_OR_RETURN(PreprocessResult result,
-                         PreprocessWithModel(g, spec, options, model, ctx));
+                         PreprocessUncached(g, spec, options, ctx));
   PrepArtifact artifact;
   artifact.offsets = result.graph.offsets();
   artifact.adj = result.graph.adjacency();
   artifact.vertex_perm = std::move(result.vertex_perm);
-  artifact.calibrated = options.calibrate;
   artifact.lambda = result.lambda;
-  if (options.calibrate) artifact.bw_by_log2_len = model.bw_by_log2_len();
   artifact.direction_cost = result.direction_cost;
   artifact.ordering_cost = result.ordering_cost;
   return artifact;

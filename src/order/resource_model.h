@@ -40,11 +40,6 @@ class ResourceModel {
 
   double lambda() const { return lambda_; }
 
-  /// The raw BW(2^i) table the model was built with. Exposed so the
-  /// preprocessing cache can persist a calibrated model and rebuild it
-  /// bit-for-bit (ResourceModel(lambda, table) round-trips exactly).
-  const std::vector<double>& bw_by_log2_len() const { return bw_by_log2_len_; }
-
   /// F_c(d) = sqrt(1/d); degree 0 is treated as 1 (an idle vertex costs the
   /// minimum, not infinity).
   double ComputeIntensity(EdgeCount out_degree) const;

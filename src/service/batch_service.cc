@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <string_view>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -16,14 +15,6 @@ namespace {
 double MillisBetween(std::chrono::steady_clock::time_point from,
                      std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-/// Journal strings are escaped exactly as the trace export escapes them.
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  AppendJsonEscaped(out, s);
-  return out;
 }
 
 /// Stop errors are the caller's budget expiring, not evidence the backend is
@@ -52,89 +43,7 @@ void RecordQueueDepth(size_t depth) {
       .Set(static_cast<double>(depth));
 }
 
-/// A counted request is kOk only when the service's first fallback stage
-/// won on its base variant; any other winner is a degradation.
-RequestOutcome CountedOutcome(const std::string& stage,
-                              const std::string& variant,
-                              const std::string& primary) {
-  return variant == "base" && stage == primary ? RequestOutcome::kOk
-                                               : RequestOutcome::kDegraded;
-}
-
 }  // namespace
-
-const char* RequestOutcomeName(RequestOutcome outcome) {
-  switch (outcome) {
-    case RequestOutcome::kOk:
-      return "ok";
-    case RequestOutcome::kDegraded:
-      return "degraded";
-    case RequestOutcome::kRejected:
-      return "rejected";
-    case RequestOutcome::kFailed:
-      return "failed";
-  }
-  return "unknown";
-}
-
-std::string RequestReport::ToJson() const {
-  std::string out = "{";
-  out += "\"id\":\"" + JsonEscape(id) + "\"";
-  out += ",\"source\":\"" + JsonEscape(source) + "\"";
-  out += ",\"outcome\":\"" + std::string(RequestOutcomeName(outcome)) + "\"";
-  out += ",\"code\":\"" + std::string(StatusCodeName(status.code())) + "\"";
-  out += ",\"message\":\"" + JsonEscape(status.message()) + "\"";
-  out += ",\"stage\":\"" + JsonEscape(stage) + "\"";
-  out += ",\"variant\":\"" + JsonEscape(variant) + "\"";
-  out += ",\"triangles\":" + std::to_string(triangles);
-  out += ",\"trace_id\":\"" + TraceIdHex(trace_id) + "\"";
-  if (retry_after_ms >= 0) {
-    out += ",\"retry_after_ms\":" + std::to_string(retry_after_ms);
-  }
-  if (!durable) {
-    // Emitted only in the degraded state, so journals written with a
-    // healthy disk stay byte-identical to earlier releases.
-    out += ",\"durable\":false";
-  }
-  out += ",\"queue_ms\":" + std::to_string(queue_ms);
-  out += ",\"exec_ms\":" + std::to_string(exec_ms);
-  out += ",\"timings\":{";
-  out += "\"queue_ms\":" + std::to_string(queue_ms);
-  out += ",\"materialize_ms\":" + std::to_string(materialize_ms);
-  out += ",\"admit_ms\":" + std::to_string(admit_ms);
-  out += ",\"exec_ms\":" + std::to_string(exec_ms);
-  out += "}";
-  out += ",\"attempts\":" + std::to_string(attempts);
-  out += ",\"trace\":[";
-  for (size_t i = 0; i < trace.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + JsonEscape(trace[i]) + "\"";
-  }
-  out += "]}";
-  return out;
-}
-
-void RecordExecution(const StatusOr<ExecutionResult>& executed,
-                     const ExecutionTrace& trace, const std::string& primary,
-                     RequestReport* report) {
-  report->attempts = static_cast<int>(trace.attempts.size());
-  report->trace.reserve(trace.attempts.size());
-  for (const AttemptRecord& attempt : trace.attempts) {
-    report->trace.push_back(
-        attempt.stage + "/" + attempt.variant + " -> " +
-        (attempt.status.ok() ? "OK" : attempt.status.ToString()));
-  }
-  if (!executed.ok()) {
-    report->outcome = RequestOutcome::kFailed;
-    report->status = executed.status();
-    return;
-  }
-  report->stage = executed->stage;
-  report->variant = executed->variant;
-  report->triangles = executed->run.triangles;
-  report->outcome = CountedOutcome(executed->stage, executed->variant, primary);
-  report->status = OkStatus();
-}
 
 int64_t BatchSummary::Total() const {
   int64_t total = 0;
@@ -388,10 +297,6 @@ void BatchService::Process(int worker_index, QueuedRequest queued) {
     slot.deadline = timeout_ms > 0.0 ? Deadline::AfterMillis(timeout_ms)
                                      : Deadline::Infinite();
   }
-  const auto unregister = [&] {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    slots_[static_cast<size_t>(worker_index)].active = false;
-  };
 
   // The "admit" span covers everything between pickup and execution:
   // materializing the graph and waiting on the memory admission gate.
@@ -399,126 +304,89 @@ void BatchService::Process(int worker_index, QueuedRequest queued) {
       tracer != nullptr
           ? tracer->StartSpan("admit", report.trace_id, request_span.id())
           : Span();
-  const Clock::time_point materialize_start = Clock::now();
-  StatusOr<Graph> graph = MaterializeRequest(request);
-  report.materialize_ms = MillisBetween(materialize_start, Clock::now());
-  if (!graph.ok()) {
-    admit_span.SetStatus(graph.status());
-    admit_span.Finish();
-    unregister();
-    finish(RequestOutcome::kFailed,
-           graph.status().WithContext("materializing '" + request.source +
-                                      "'"));
-    return;
-  }
-
-  // The per-request preprocess options: the shared cache rides along on a
-  // copy, so options_ stays immutable and every worker thread hits one cache.
-  PreprocessOptions preprocess = options_.preprocess;
-  preprocess.prep_cache = prep_cache_;
-
-  // Admission: the injected fault and genuine refusals are both sheds — the
-  // request never started executing. A request whose base fingerprint is
-  // already cached skips the preprocessing recompute, so it is admitted with
-  // the smaller post-cache estimate — reserving the cold estimate would
-  // double-count the directed graph it never rebuilds.
-  const DeviceSpec spec = DeviceSpec::TitanXpLike();
-  const bool base_cached =
-      prep_cache_ != nullptr &&
-      prep_cache_->Contains(PrepFingerprint(*graph, spec, preprocess));
-  const int64_t estimate = base_cached ? EstimateHostBytesCached(*graph)
-                                       : EstimateHostBytes(*graph);
-  admit_span.SetAttr("estimate_bytes", estimate);
-  const Clock::time_point admit_start = Clock::now();
-  Status admitted = CheckFailPoint("service.admit");
-  if (admitted.ok()) admitted = admission_.Admit(estimate, cancel);
-  report.admit_ms = MillisBetween(admit_start, Clock::now());
-  admit_span.SetStatus(admitted);
-  admit_span.Finish();
-  if (!admitted.ok()) {
-    unregister();
-    // A watchdog cancellation (request deadline) is a per-request failure;
-    // everything else — budget refusal, drain abort — is a shed.
-    const RequestOutcome outcome = cancel.cancelled() && !draining()
-                                       ? RequestOutcome::kFailed
-                                       : RequestOutcome::kRejected;
-    // A genuine budget refusal is back pressure; a drain abort is not.
-    if (outcome == RequestOutcome::kRejected && !draining()) {
-      CountOverloadRejection("memory");
-    }
-    finish(outcome, admitted.WithContext("admission (needs ~" +
-                                         std::to_string(estimate) +
-                                         " bytes)"));
-    return;
-  }
-
-  // Resolve the fallback chain: per-request override, then route around
-  // backends whose breaker is open.
-  std::vector<FallbackStage> chain = options_.chain;
-  if (!request.fallback.empty()) {
-    StatusOr<std::vector<FallbackStage>> parsed =
-        ParseFallbackChain(request.fallback);
-    if (!parsed.ok()) {
-      admission_.Release(estimate);
-      unregister();
-      finish(RequestOutcome::kFailed,
-             parsed.status().WithContext("fallback override"));
-      return;
-    }
-    chain = *std::move(parsed);
-  }
+  int64_t reserved = 0;  // Bytes held at the admission gate.
   std::vector<FallbackStage> allowed;
-  allowed.reserve(chain.size());
-  for (const FallbackStage& stage : chain) {
-    if (breakers_.ForBackend(stage.name()).Allow()) allowed.push_back(stage);
-  }
-  if (allowed.empty()) {
-    admission_.Release(estimate);
-    unregister();
-    finish(RequestOutcome::kRejected,
-           ResourceExhaustedError(
-               "every fallback backend has an open circuit breaker"));
-    return;
-  }
-
-  // A per-request fail-point schedule arms the process-wide registry here:
-  // without isolation there is no narrower blast radius to offer, which is
-  // exactly what the containment tests demonstrate (a crash schedule on one
-  // manifest line kills the whole in-process service, but only one worker
-  // under --isolate).
-  if (!request.failpoints.empty()) {
-    const Status armed =
-        FailPointRegistry::Instance().ArmFromString(request.failpoints);
-    if (!armed.ok()) {
-      admission_.Release(estimate);
-      unregister();
-      finish(RequestOutcome::kFailed,
-             armed.WithContext("failpoints override"));
-      return;
+  const auto admit = [&](const Graph& graph, std::vector<FallbackStage>* chain,
+                         RequestOutcome* outcome) -> Status {
+    // Admission: the injected fault and genuine refusals are both sheds —
+    // the request never started executing. A request whose base
+    // fingerprint is already cached skips the preprocessing recompute, so
+    // it is admitted with the smaller post-cache estimate — reserving the
+    // cold estimate would double-count the directed graph it never rebuilds.
+    const bool base_cached =
+        prep_cache_ != nullptr &&
+        prep_cache_->Contains(PrepFingerprint(
+            graph, DeviceSpec::TitanXpLike(), PreprocessOptions{}));
+    const int64_t estimate = base_cached ? EstimateHostBytesCached(graph)
+                                         : EstimateHostBytes(graph);
+    admit_span.SetAttr("estimate_bytes", estimate);
+    const Clock::time_point admit_start = Clock::now();
+    Status admitted = CheckFailPoint("service.admit");
+    if (admitted.ok()) admitted = admission_.Admit(estimate, cancel);
+    report.admit_ms = MillisBetween(admit_start, Clock::now());
+    admit_span.SetStatus(admitted);
+    admit_span.Finish();
+    if (!admitted.ok()) {
+      // A watchdog cancellation (request deadline) is a per-request
+      // failure; everything else — budget refusal, drain abort — is a shed.
+      if (!cancel.cancelled() || draining()) {
+        *outcome = RequestOutcome::kRejected;
+        // A genuine budget refusal is back pressure; a drain abort is not.
+        if (!draining()) CountOverloadRejection("memory");
+      }
+      return admitted.WithContext("admission (needs ~" +
+                                  std::to_string(estimate) + " bytes)");
     }
-  }
+    reserved = estimate;
+
+    // Resolve the fallback chain: per-request override, then route around
+    // backends whose breaker is open.
+    if (!request.fallback.empty()) {
+      StatusOr<std::vector<FallbackStage>> parsed =
+          ParseFallbackChain(request.fallback);
+      if (!parsed.ok()) return parsed.status().WithContext("fallback override");
+      *chain = *std::move(parsed);
+    }
+    for (const FallbackStage& stage : *chain) {
+      if (breakers_.ForBackend(stage.name()).Allow()) allowed.push_back(stage);
+    }
+    if (allowed.empty()) {
+      *outcome = RequestOutcome::kRejected;
+      return ResourceExhaustedError(
+          "every fallback backend has an open circuit breaker");
+    }
+    *chain = allowed;
+
+    // A per-request fail-point schedule arms the process-wide registry
+    // here: without isolation there is no narrower blast radius to offer,
+    // which is exactly what the containment tests demonstrate (a crash
+    // schedule on one manifest line kills the whole in-process service, but
+    // only one worker under --isolate).
+    if (request.failpoints.empty()) return OkStatus();
+    return FailPointRegistry::Instance()
+        .ArmFromString(request.failpoints)
+        .WithContext("failpoints override");
+  };
 
   ExecutionPolicy policy;  // No timeout_ms: the watchdog owns the clock.
   policy.cancel = cancel;
-  Span exec_span =
-      tracer != nullptr
-          ? tracer->StartSpan("execute", report.trace_id, request_span.id())
-          : Span();
   policy.tracer = tracer;
   policy.trace_id = report.trace_id;
-  policy.parent_span = exec_span.id();
+  policy.parent_span = request_span.id();
+  const ExecutionTrace trace =
+      RunRequest(request, options_.chain, policy, prep_cache_,
+                 options_.chain.front().name(), &report, admit);
+  // The span is still open only when the load failed before the gate ran.
+  admit_span.SetStatus(report.status);
+  admit_span.Finish();
 
-  ExecutionTrace trace;
-  StatusOr<ExecutionResult> executed =
-      ExecuteResilient(*graph, spec, policy, allowed, preprocess, &trace);
-  exec_span.SetAttr("attempts", static_cast<int64_t>(trace.attempts.size()));
-  if (!executed.ok()) exec_span.SetStatus(executed.status());
-  exec_span.Finish();
-
+  // Also returns the probes of a gate that refused after granting them.
   FeedBreakers(allowed, trace);
-  admission_.Release(estimate);
-  unregister();
-  RecordExecution(executed, trace, options_.chain.front().name(), &report);
+  if (reserved > 0) admission_.Release(reserved);
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    slots_[static_cast<size_t>(worker_index)].active = false;
+  }
   finish(report.outcome, report.status);
 }
 
@@ -527,26 +395,18 @@ void BatchService::ProcessIsolated(
     uint64_t parent_span_id,
     const std::function<void(RequestOutcome, Status)>& finish) {
   Tracer* const tracer = options_.tracer;
+  const std::string primary = options_.chain.front().name();
 
-  WorkerRequest wire;
-  wire.id = request.id;
-  wire.source = request.source;
-  wire.kind = request.kind;
-  wire.target = request.target;
-  wire.params = request.params;
-  wire.timeout_ms = timeout_ms;
-  wire.failpoints = request.failpoints;
   // Workers keep a private tier 1 but share the durable tier-2 directory, so
   // an artifact computed by any worker (or by an earlier batch) is reusable
   // pool-wide across process restarts.
-  wire.prep_cache_dir = options_.prep_cache_dir;
-  wire.prep_cache_mb = options_.prep_cache_mb;
-  if (!request.fallback.empty()) {
-    wire.chain = request.fallback;
-  } else {
+  WorkerRequest wire{request, options_.prep_cache_dir,
+                     options_.prep_cache_mb};
+  wire.request.timeout_ms = timeout_ms;
+  if (wire.request.fallback.empty()) {
     for (const FallbackStage& stage : options_.chain) {
-      if (!wire.chain.empty()) wire.chain += ",";
-      wire.chain += stage.name();
+      if (!wire.request.fallback.empty()) wire.request.fallback += ",";
+      wire.request.fallback += stage.name();
     }
   }
 
@@ -557,7 +417,8 @@ void BatchService::ProcessIsolated(
   const Deadline deadline = timeout_ms > 0.0
                                 ? Deadline::AfterMillis(timeout_ms)
                                 : Deadline::Infinite();
-  StatusOr<WorkerDispatch> dispatched = supervisor_->Execute(wire, deadline);
+  StatusOr<WorkerDispatch> dispatched =
+      supervisor_->Execute(wire, deadline, report);
 
   if (dispatched.ok()) {
     dispatch_span.SetAttr("worker_pid",
@@ -565,21 +426,7 @@ void BatchService::ProcessIsolated(
     dispatch_span.SetAttr("worker_index",
                           static_cast<int64_t>(dispatched->worker_index));
     dispatch_span.Finish();
-    const WorkerResult& result = dispatched->result;
-    report->materialize_ms = result.materialize_ms;
-    report->attempts = result.attempts;
-    report->trace = result.trace;
-    const Status status = result.status();
-    if (!status.ok()) {
-      finish(RequestOutcome::kFailed, status);
-      return;
-    }
-    report->stage = result.stage;
-    report->variant = result.variant;
-    report->triangles = result.triangles;
-    finish(CountedOutcome(result.stage, result.variant,
-                          options_.chain.front().name()),
-           OkStatus());
+    finish(CountedOutcome(*report, primary), report->status);
     return;
   }
 
@@ -601,32 +448,15 @@ void BatchService::ProcessIsolated(
       tracer != nullptr
           ? tracer->StartSpan("cpu.failover", report->trace_id, parent_span_id)
           : Span();
-  const Clock::time_point materialize_start = Clock::now();
-  StatusOr<Graph> graph = MaterializeRequest(request);
-  report->materialize_ms = MillisBetween(materialize_start, Clock::now());
-  if (!graph.ok()) {
-    failover_span.SetStatus(graph.status());
-    failover_span.Finish();
-    finish(RequestOutcome::kFailed,
-           graph.status().WithContext("materializing '" + request.source +
-                                      "' for cpu failover"));
-    return;
-  }
   ExecutionPolicy policy;
   policy.timeout_ms = timeout_ms;  // No watchdog token here; self-enforced.
   policy.tracer = tracer;
   policy.trace_id = report->trace_id;
   policy.parent_span = failover_span.id();
-  const std::vector<FallbackStage> cpu_chain = {FallbackStage{true}};
-  ExecutionTrace trace;
-  StatusOr<ExecutionResult> executed =
-      ExecuteResilient(*graph, DeviceSpec::TitanXpLike(), policy, cpu_chain,
-                       options_.preprocess, &trace);
-  failover_span.SetAttr("attempts",
-                        static_cast<int64_t>(trace.attempts.size()));
-  if (!executed.ok()) failover_span.SetStatus(executed.status());
+  RunRequest(request, {FallbackStage{true}}, policy, prep_cache_, primary,
+             report);
+  failover_span.SetStatus(report->status);
   failover_span.Finish();
-  RecordExecution(executed, trace, options_.chain.front().name(), report);
   finish(report->outcome, report->status.WithContext(
                               "cpu failover (worker circuit breaker open)"));
 }

@@ -54,7 +54,6 @@ struct BatchServiceOptions {
   /// Default fallback chain (a manifest line's fallback= override wins).
   std::vector<FallbackStage> chain = {
       FallbackStage{false, TcAlgorithm::kHu}, FallbackStage{true}};
-  PreprocessOptions preprocess;
   /// Per-backend breaker tuning.
   CircuitBreakerOptions breaker;
   /// Observability sink (optional, not owned; must outlive the service).
@@ -94,63 +93,6 @@ struct BatchServiceOptions {
   /// use it to share one cache across service restarts.
   PrepCache* prep_cache = nullptr;
 };
-
-/// Terminal classification of one submitted request. Every Submit produces
-/// exactly one journal entry with one of these outcomes — nothing is dropped
-/// silently.
-enum class RequestOutcome {
-  kOk,        // Counted with the requested (base) configuration.
-  kDegraded,  // Counted, but on a fallback stage or degraded variant.
-  kRejected,  // Shed before execution: queue full, drain, admission refusal,
-              // or every backend's breaker open.
-  kFailed     // Execution started and did not produce a count.
-};
-inline constexpr size_t kNumRequestOutcomes = 4;
-
-/// Stable lower-case name ("ok", "degraded", "rejected", "failed").
-const char* RequestOutcomeName(RequestOutcome outcome);
-
-/// One journal entry.
-struct RequestReport {
-  std::string id;      // BatchRequest::id.
-  std::string source;  // BatchRequest::source.
-  RequestOutcome outcome = RequestOutcome::kFailed;
-  Status status;            // OK for kOk/kDegraded; the reason otherwise.
-  std::string stage;        // Winning fallback stage ("" when none).
-  std::string variant;      // Winning degradation variant ("" when none).
-  int64_t triangles = 0;
-  /// Correlation id linking this journal line to the request's span tree in
-  /// the trace export. Unique per report, assigned even when the request is
-  /// shed before execution (so rejected work is still correlatable).
-  uint64_t trace_id = 0;
-  double queue_ms = 0.0;    // Submit-to-worker-pickup wait.
-  double materialize_ms = 0.0;  // Loading/parsing the graph source.
-  double admit_ms = 0.0;        // Waiting on the memory admission gate.
-  double exec_ms = 0.0;     // Worker processing time (load + count).
-  int attempts = 0;         // ExecutionTrace length.
-  std::vector<std::string> trace;  // One line per attempt, for the journal.
-  /// Backoff hint for kRejected outcomes: how many milliseconds the client
-  /// should wait before retrying. Emitted in ToJson only when >= 0, so
-  /// journals that never set it are unchanged.
-  int64_t retry_after_ms = -1;
-  /// False when this line lost its durability cover: the WAL is running
-  /// under --wal-policy degrade and could not persist the done record, so a
-  /// crash after this line may re-run the request. Emitted in ToJson only
-  /// when false ("durable":false), so healthy-disk journals are unchanged.
-  bool durable = true;
-
-  /// Single-line JSON object for the machine-readable journal.
-  std::string ToJson() const;
-};
-
-/// The one mapping from an ExecuteResilient call to a report: `attempts` and
-/// one `trace` line per attempt always; on success the winning `stage`,
-/// `variant` and `triangles`, with outcome kOk when `primary` (the service's
-/// first fallback stage) won on its base variant and kDegraded otherwise; on
-/// failure kFailed and the error as `status`.
-void RecordExecution(const StatusOr<ExecutionResult>& executed,
-                     const ExecutionTrace& trace, const std::string& primary,
-                     RequestReport* report);
 
 /// Everything Finish returns: how many reports the service journaled, per
 /// outcome and in total, plus drain metadata. The reports themselves are not

@@ -24,34 +24,26 @@ constexpr char kFileSuffix[] = ".gptc";
 /// corrupt length field, not a real artifact.
 constexpr uint32_t kMaxSectionBytes = 1u << 30;
 
-void AppendFramed(std::string* out, std::string_view payload) {
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32c(payload);
-  out->append(reinterpret_cast<const char*>(&len), sizeof(len));
-  out->append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  out->append(payload.data(), payload.size());
-}
-
-/// Reads one [len][crc][bytes] section starting at `*pos`; DataLoss on any
+/// Reads one EncodeFrame section starting at `*pos`; DataLoss on any
 /// truncation or checksum mismatch.
 StatusOr<std::string> ReadFramed(const std::string& bytes, size_t* pos,
                                  const char* what) {
-  if (bytes.size() - *pos < 2 * sizeof(uint32_t)) {
+  if (bytes.size() - *pos < kFrameHeaderBytes) {
     return DataLossError(std::string("cache file truncated before ") + what +
                          " frame header");
   }
-  uint32_t len = 0;
-  uint32_t crc = 0;
-  std::memcpy(&len, bytes.data() + *pos, sizeof(len));
-  std::memcpy(&crc, bytes.data() + *pos + sizeof(len), sizeof(crc));
-  *pos += 2 * sizeof(uint32_t);
-  if (len > kMaxSectionBytes || len > bytes.size() - *pos) {
+  GPUTC_ASSIGN_OR_RETURN(
+      const FrameHeader header,
+      DecodeFrameHeader(bytes.data() + *pos, kMaxSectionBytes));
+  *pos += kFrameHeaderBytes;
+  if (header.length > bytes.size() - *pos) {
     return DataLossError(std::string("cache file truncated inside ") + what +
-                         " section (" + std::to_string(len) + " bytes framed)");
+                         " section (" + std::to_string(header.length) +
+                         " bytes framed)");
   }
-  std::string payload = bytes.substr(*pos, len);
-  *pos += len;
-  if (Crc32c(payload) != crc) {
+  std::string payload = bytes.substr(*pos, header.length);
+  *pos += header.length;
+  if (Crc32c(payload) != header.crc) {
     return DataLossError(std::string(what) + " section checksum mismatch");
   }
   return payload;
@@ -104,17 +96,8 @@ Status DiskCacheStore::CheckDir() const {
 void DiskCacheStore::RecordOutcome(const Status& status, bool benign) {
   if (status.ok() || benign) {
     breaker_.RecordSuccess();
-    return;
-  }
-  breaker_.RecordFailure();
-  if (health_ != nullptr) {
-    health_->RecordError("cache", status);
-    if (breaker_.state() == CircuitBreaker::State::kOpen) {
-      health_->NoteDegraded("cache",
-                            "tier-2 disk benched after consecutive faults "
-                            "(last: " +
-                                status.message() + ")");
-    }
+  } else {
+    breaker_.RecordFailure();
   }
 }
 
@@ -189,13 +172,9 @@ Status DiskCacheStore::Store(const PrepCacheKey& key,
     GPUTC_INJECT_FAULT("cache.store");
     GPUTC_RETURN_IF_ERROR(EnsureDir());
 
-    std::string content;
-    content.reserve(kFileHeaderLen + key.canonical.size() + encoded.size() +
-                    16);
-    content.append(kFileHeader, kFileHeaderLen);
-    AppendFramed(&content, key.canonical);
-    AppendFramed(&content, encoded);
-
+    const std::string content = std::string(kFileHeader, kFileHeaderLen) +
+                                EncodeFrame(key.canonical) +
+                                EncodeFrame(encoded);
     GPUTC_ASSIGN_OR_RETURN(AtomicFileWriter writer,
                            AtomicFileWriter::Create(PathFor(key)));
     GPUTC_RETURN_IF_ERROR(writer.Append(content));

@@ -9,7 +9,6 @@
 
 #include "core/prep_cache.h"
 #include "service/circuit_breaker.h"
-#include "service/storage_health.h"
 #include "util/status.h"
 
 namespace gputc {
@@ -27,6 +26,9 @@ namespace gputc {
 //   [u32 payload_len][u32 crc32c(payload)]
 //   payload bytes                       EncodePrepArtifact output
 //
+// Both sections are util/durable_file frames (EncodeFrame, little-endian
+// lengths and checksums), the framing the WAL segments use.
+//
 // The canonical key inside the file is compared against the requested key on
 // load: a 64-bit id collision (two fingerprints, one file name) degrades to
 // NotFound — a miss — never to a wrong artifact. Any structural or checksum
@@ -43,9 +45,9 @@ namespace gputc {
 // Load/Store outcomes — after `failure_threshold` consecutive storage
 // faults the tier-2 disk is benched (loads miss, stores are skipped, no
 // syscalls issued) while tier 1 keeps serving from memory; a half-open
-// probe re-admits the disk once it recovers. A wired StorageHealthMonitor
-// hears every fault (gputc_storage_errors_total{sink="cache"}) and the
-// benched state (degraded header on /readyz).
+// probe re-admits the disk once it recovers. The breaker is the tier's only
+// health signal: a benched tier is not reported to StorageHealthMonitor, so
+// it never shows on `/readyz`.
 class DiskCacheStore : public PrepCacheStore {
  public:
   /// The store is lazy: nothing touches the filesystem until the first
@@ -95,21 +97,16 @@ class DiskCacheStore : public PrepCacheStore {
   const std::string& dir() const { return dir_; }
   std::string PathFor(const PrepCacheKey& key) const;
 
-  /// Health monitor notified of every storage fault and of the tier being
-  /// benched (not owned; must outlive the store). Optional.
-  void set_health(StorageHealthMonitor* health) { health_ = health; }
-
   /// The tier-2 breaker (exposed for tests and reporting).
   CircuitBreaker& breaker() { return breaker_; }
 
  private:
-  /// Routes one Load/Store outcome into the breaker and the health monitor.
-  /// `benign` outcomes (a miss, an id collision) count as disk successes.
+  /// Routes one Load/Store outcome into the breaker. `benign` outcomes (a
+  /// miss, an id collision) count as disk successes.
   void RecordOutcome(const Status& status, bool benign);
 
   std::string dir_;
   CircuitBreaker breaker_;
-  StorageHealthMonitor* health_ = nullptr;
 };
 
 /// The two-tier preprocessing cache `--prep-cache DIR` / `--prep-cache-mb N`

@@ -4,11 +4,16 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/io.h"
+#include "obs/trace.h"
+#include "sim/device.h"
 #include "util/failpoint.h"
+#include "util/timer.h"
 
 namespace gputc {
 namespace {
@@ -145,6 +150,14 @@ double GetDoubleParam(const std::map<std::string, std::string>& params,
   return std::strtod(it->second.c_str(), nullptr);
 }
 
+/// Journal strings are escaped exactly as the trace export escapes them.
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  AppendJsonEscaped(out, s);
+  return out;
+}
+
 }  // namespace
 
 StatusOr<std::vector<BatchRequest>> ParseManifest(std::istream& in) {
@@ -217,6 +230,115 @@ StatusOr<Graph> MaterializeRequest(const BatchRequest& request) {
   }
   return InvalidArgumentError("unknown generator family '" + request.target +
                               "'");
+}
+
+const char* RequestOutcomeName(RequestOutcome outcome) {
+  switch (outcome) {
+    case RequestOutcome::kOk:
+      return "ok";
+    case RequestOutcome::kDegraded:
+      return "degraded";
+    case RequestOutcome::kRejected:
+      return "rejected";
+    case RequestOutcome::kFailed:
+      return "failed";
+  }
+  return "unknown";
+}
+
+std::string RequestReport::ToJson() const {
+  std::string out = "{";
+  out += "\"id\":\"" + JsonEscape(id) + "\"";
+  out += ",\"source\":\"" + JsonEscape(source) + "\"";
+  out += ",\"outcome\":\"" + std::string(RequestOutcomeName(outcome)) + "\"";
+  out += ",\"code\":\"" + std::string(StatusCodeName(status.code())) + "\"";
+  out += ",\"message\":\"" + JsonEscape(status.message()) + "\"";
+  out += ",\"stage\":\"" + JsonEscape(stage) + "\"";
+  out += ",\"variant\":\"" + JsonEscape(variant) + "\"";
+  out += ",\"triangles\":" + std::to_string(triangles);
+  out += ",\"trace_id\":\"" + TraceIdHex(trace_id) + "\"";
+  if (retry_after_ms >= 0) {
+    out += ",\"retry_after_ms\":" + std::to_string(retry_after_ms);
+  }
+  if (!durable) {
+    // Emitted only in the degraded state, so journals written with a
+    // healthy disk stay byte-identical to earlier releases.
+    out += ",\"durable\":false";
+  }
+  out += ",\"queue_ms\":" + std::to_string(queue_ms);
+  out += ",\"exec_ms\":" + std::to_string(exec_ms);
+  out += ",\"timings\":{";
+  out += "\"queue_ms\":" + std::to_string(queue_ms);
+  out += ",\"materialize_ms\":" + std::to_string(materialize_ms);
+  out += ",\"admit_ms\":" + std::to_string(admit_ms);
+  out += ",\"exec_ms\":" + std::to_string(exec_ms);
+  out += "}";
+  out += ",\"attempts\":" + std::to_string(attempts);
+  out += ",\"trace\":[";
+  for (size_t i = 0; i < trace.size(); ++i) {
+    out += i > 0 ? ",\"" : "\"";
+    AppendJsonEscaped(out, trace[i]);
+    out += "\"";
+  }
+  out += "]}";
+  return out;
+}
+
+RequestOutcome CountedOutcome(const RequestReport& report,
+                              const std::string& primary) {
+  if (!report.status.ok()) return RequestOutcome::kFailed;
+  return report.variant == "base" && report.stage == primary
+             ? RequestOutcome::kOk
+             : RequestOutcome::kDegraded;
+}
+
+ExecutionTrace RunRequest(const BatchRequest& request,
+                          std::vector<FallbackStage> chain,
+                          ExecutionPolicy policy, PrepCache* cache,
+                          const std::string& primary, RequestReport* report,
+                          const BeforeCount& before_count) {
+  ExecutionTrace trace;
+  report->outcome = RequestOutcome::kFailed;
+  const Timer materialize_timer;
+  StatusOr<Graph> graph = MaterializeRequest(request);
+  report->materialize_ms = materialize_timer.ElapsedMillis();
+  if (!graph.ok()) {
+    report->status = graph.status().WithContext("materializing '" +
+                                                request.source + "'");
+    return trace;
+  }
+  if (before_count) {
+    report->status = before_count(*graph, &chain, &report->outcome);
+    if (!report->status.ok()) return trace;
+  }
+
+  Span exec_span = policy.tracer != nullptr
+                       ? policy.tracer->StartSpan("execute", policy.trace_id,
+                                                  policy.parent_span)
+                       : Span();
+  policy.parent_span = exec_span.id();
+  PreprocessOptions preprocess;
+  preprocess.prep_cache = cache;
+  const StatusOr<ExecutionResult> executed = ExecuteResilient(
+      *graph, DeviceSpec::TitanXpLike(), policy, chain, preprocess, &trace);
+  exec_span.SetAttr("attempts", static_cast<int64_t>(trace.attempts.size()));
+  exec_span.SetStatus(executed.status());
+
+  report->attempts = static_cast<int>(trace.attempts.size());
+  report->trace.reserve(trace.attempts.size());
+  for (const AttemptRecord& attempt : trace.attempts) {
+    report->trace.push_back(
+        attempt.stage + "/" + attempt.variant + " -> " +
+        (attempt.status.ok() ? "OK" : attempt.status.ToString()));
+  }
+  report->status = executed.status();
+  if (executed.ok()) {
+    report->stage = executed->stage;
+    report->variant = executed->variant;
+    report->triangles = executed->run.triangles;
+  }
+  report->outcome = CountedOutcome(*report, primary);
+  return trace;
 }
 
 }  // namespace gputc

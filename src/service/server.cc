@@ -406,8 +406,8 @@ void Server::HandleHealthLine(Connection& conn, const std::string& line) {
     if (ready()) {
       body = "ready\n";
       if (options_.storage != nullptr && options_.storage->degraded()) {
-        // Serving, but a sink lost its disk (journal mirroring to stderr,
-        // cache tier benched, low free space): tell the load balancer
+        // Serving, but a sink lost its disk (WAL degraded, journal
+        // mirroring to stderr, low free space): tell the load balancer
         // without failing the probe.
         extra_header = "X-Gputc-Storage: degraded";
       }

@@ -371,7 +371,8 @@ Status Supervisor::Start() {
 }
 
 StatusOr<WorkerDispatch> Supervisor::Execute(const WorkerRequest& request,
-                                             Deadline deadline) {
+                                             Deadline deadline,
+                                             RequestReport* report) {
   Impl& impl = *impl_;
   if (impl.options.breaker != nullptr && !impl.options.breaker->Allow()) {
     return ResourceExhaustedError(kBreakerOpenMessage);
@@ -410,7 +411,7 @@ StatusOr<WorkerDispatch> Supervisor::Execute(const WorkerRequest& request,
         }
         continue;
       }
-      return death.WithContext("request '" + request.id +
+      return death.WithContext("request '" + request.request.id +
                                "' failed before dispatch");
     }
 
@@ -440,13 +441,13 @@ StatusOr<WorkerDispatch> Supervisor::Execute(const WorkerRequest& request,
           // Drain the pipe to EOF so classification sees the final state.
           Status death = impl.HandleDeath(
               slot, DeadlineExceededError("no result before the deadline"));
-          return death.WithContext("request '" + request.id + "'");
+          return death.WithContext("request '" + request.request.id + "'");
         }
         // EOF (FailedPrecondition) or a torn frame (DataLoss): the worker
         // died mid-request. A torn result frame is a *crash*, not data
         // loss — nothing of the partial frame is trusted or surfaced.
         Status death = impl.HandleDeath(slot, frame.status());
-        return death.WithContext("request '" + request.id + "'");
+        return death.WithContext("request '" + request.request.id + "'");
       }
       if (frame->type == kFrameHeartbeat) {
         std::lock_guard<std::mutex> lock(impl.mu);
@@ -461,10 +462,10 @@ StatusOr<WorkerDispatch> Supervisor::Execute(const WorkerRequest& request,
         Status death = impl.HandleDeath(
             slot, InternalError(std::string("unexpected frame type '") +
                                 frame->type + "'"));
-        return death.WithContext("request '" + request.id + "'");
+        return death.WithContext("request '" + request.request.id + "'");
       }
-      StatusOr<WorkerResult> result = DecodeWorkerResult(frame->body);
-      if (!result.ok()) {
+      const Status decoded = DecodeWorkerResult(frame->body, report);
+      if (!decoded.ok()) {
         // A frame that passed its checksum but does not decode means the
         // two ends disagree about the protocol — kill and classify as a
         // crash rather than trusting anything further from this worker.
@@ -472,13 +473,10 @@ StatusOr<WorkerDispatch> Supervisor::Execute(const WorkerRequest& request,
           std::lock_guard<std::mutex> lock(impl.mu);
           slot->proc->Kill();
         }
-        Status death = impl.HandleDeath(slot, result.status());
-        return death.WithContext("request '" + request.id + "'");
+        Status death = impl.HandleDeath(slot, decoded);
+        return death.WithContext("request '" + request.request.id + "'");
       }
-      WorkerDispatch dispatch;
-      dispatch.result = *std::move(result);
-      dispatch.pid = pid;
-      dispatch.worker_index = slot->index;
+      const WorkerDispatch dispatch{pid, slot->index};
       impl.Release(slot);
       // A clean protocol round-trip is worker health, whatever the
       // request-level status says: an injected per-request fault must not

@@ -85,9 +85,8 @@ struct SupervisorOptions {
   CircuitBreaker* breaker = nullptr;
 };
 
-/// A successful dispatch: the worker's result plus which process ran it.
+/// Which process ran a successful dispatch.
 struct WorkerDispatch {
-  WorkerResult result;
   int pid = 0;
   int worker_index = 0;
 };
@@ -103,8 +102,10 @@ class Supervisor {
   Status Start();
 
   /// Runs one request on a worker, blocking until the result, a worker
-  /// death, or `deadline`. Thread-safe; each concurrent caller leases its
-  /// own worker. Failure mapping:
+  /// death, or `deadline`, and decodes the result frame into `report`'s
+  /// execution fields (a frame that will not decode kills the worker like a
+  /// crash). Thread-safe; each concurrent caller leases its own worker.
+  /// Failure mapping:
   ///   - breaker open           -> ResourceExhausted (IsWorkerBreakerOpen)
   ///   - crash / hang / rlimit  -> Internal, naming pid and cause; that one
   ///     request fails, other in-flight requests are unaffected
@@ -113,7 +114,7 @@ class Supervisor {
   /// A worker that dies *before* reading the request (EPIPE on send) is
   /// retried once on a fresh worker — the request provably never started.
   StatusOr<WorkerDispatch> Execute(const WorkerRequest& request,
-                                   Deadline deadline);
+                                   Deadline deadline, RequestReport* report);
 
   /// Begins draining: new Execute calls fail Cancelled, idle workers are
   /// killed and reaped immediately, and busy workers get until

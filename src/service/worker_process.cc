@@ -225,7 +225,8 @@ StatusOr<WireFrame> ReadFrameWithDeadline(int fd, Deadline deadline,
   }
 }
 
-std::string EncodeWorkerRequest(const WorkerRequest& request) {
+std::string EncodeWorkerRequest(const WorkerRequest& wire) {
+  const BatchRequest& request = wire.request;
   std::string out;
   AppendLine(&out, "id", request.id);
   AppendLine(&out, "source", request.source);
@@ -235,18 +236,18 @@ std::string EncodeWorkerRequest(const WorkerRequest& request) {
     AppendLine(&out, "param", key + "=" + value);
   }
   AppendLine(&out, "timeout-ms", FormatDouble(request.timeout_ms));
-  AppendLine(&out, "chain", request.chain);
+  AppendLine(&out, "fallback", request.fallback);
   AppendLine(&out, "failpoints", request.failpoints);
-  AppendLine(&out, "prep-cache-dir", request.prep_cache_dir);
-  AppendLine(&out, "prep-cache-mb", std::to_string(request.prep_cache_mb));
+  AppendLine(&out, "prep-cache-dir", wire.prep_cache_dir);
+  AppendLine(&out, "prep-cache-mb", std::to_string(wire.prep_cache_mb));
   return out;
 }
 
 StatusOr<WorkerRequest> DecodeWorkerRequest(std::string_view body) {
-  WorkerRequest request;
+  WorkerRequest wire;
+  BatchRequest& request = wire.request;
   const Status parsed = ForEachWireLine(
-      body,
-      [&request](std::string_view key, const std::string& value) -> Status {
+      body, [&](std::string_view key, const std::string& value) -> Status {
         if (key == "id") {
           request.id = value;
         } else if (key == "source") {
@@ -271,16 +272,14 @@ StatusOr<WorkerRequest> DecodeWorkerRequest(std::string_view body) {
         } else if (key == "timeout-ms") {
           GPUTC_RETURN_IF_ERROR(
               ParseWireDouble(value, key, &request.timeout_ms));
-        } else if (key == "chain") {
-          request.chain = value;
+        } else if (key == "fallback") {
+          request.fallback = value;
         } else if (key == "failpoints") {
           request.failpoints = value;
         } else if (key == "prep-cache-dir") {
-          request.prep_cache_dir = value;
+          wire.prep_cache_dir = value;
         } else if (key == "prep-cache-mb") {
-          int64_t mb = 0;
-          GPUTC_RETURN_IF_ERROR(ParseWireInt(value, key, &mb));
-          request.prep_cache_mb = mb;
+          GPUTC_RETURN_IF_ERROR(ParseWireInt(value, key, &wire.prep_cache_mb));
         } else {
           return InvalidArgumentError("unknown wire field '" +
                                       std::string(key) + "'");
@@ -291,56 +290,57 @@ StatusOr<WorkerRequest> DecodeWorkerRequest(std::string_view body) {
   if (request.id.empty()) {
     return InvalidArgumentError("DecodeWorkerRequest: missing request id");
   }
-  return request;
+  return wire;
 }
 
-std::string EncodeWorkerResult(const WorkerResult& result) {
+std::string EncodeWorkerResult(const RequestReport& report) {
   std::string out;
-  AppendLine(&out, "code", std::to_string(static_cast<int>(result.code)));
-  AppendLine(&out, "message", result.message);
-  AppendLine(&out, "stage", result.stage);
-  AppendLine(&out, "variant", result.variant);
-  AppendLine(&out, "triangles", std::to_string(result.triangles));
-  AppendLine(&out, "attempts", std::to_string(result.attempts));
-  for (const std::string& line : result.trace) {
+  AppendLine(&out, "code",
+             std::to_string(static_cast<int>(report.status.code())));
+  AppendLine(&out, "message", report.status.message());
+  AppendLine(&out, "stage", report.stage);
+  AppendLine(&out, "variant", report.variant);
+  AppendLine(&out, "triangles", std::to_string(report.triangles));
+  AppendLine(&out, "attempts", std::to_string(report.attempts));
+  for (const std::string& line : report.trace) {
     AppendLine(&out, "trace", line);
   }
-  AppendLine(&out, "materialize-ms", FormatDouble(result.materialize_ms));
-  AppendLine(&out, "exec-ms", FormatDouble(result.exec_ms));
+  AppendLine(&out, "materialize-ms", FormatDouble(report.materialize_ms));
   return out;
 }
 
-StatusOr<WorkerResult> DecodeWorkerResult(std::string_view body) {
-  WorkerResult result;
+Status DecodeWorkerResult(std::string_view body, RequestReport* report) {
+  RequestReport decoded = *report;
+  decoded.trace.clear();
+  StatusCode code = StatusCode::kOk;
+  std::string message;
   const Status parsed = ForEachWireLine(
-      body, [&result](std::string_view key, const std::string& value) -> Status {
+      body, [&](std::string_view key, const std::string& value) -> Status {
         if (key == "code") {
-          int64_t code = 0;
-          GPUTC_RETURN_IF_ERROR(ParseWireInt(value, key, &code));
-          if (code < 0 || code > static_cast<int>(StatusCode::kCancelled)) {
+          int64_t raw = 0;
+          GPUTC_RETURN_IF_ERROR(ParseWireInt(value, key, &raw));
+          if (raw < 0 || raw > static_cast<int>(StatusCode::kCancelled)) {
             return InvalidArgumentError("wire status code " + value +
                                         " out of range");
           }
-          result.code = static_cast<StatusCode>(code);
+          code = static_cast<StatusCode>(raw);
         } else if (key == "message") {
-          result.message = value;
+          message = value;
         } else if (key == "stage") {
-          result.stage = value;
+          decoded.stage = value;
         } else if (key == "variant") {
-          result.variant = value;
+          decoded.variant = value;
         } else if (key == "triangles") {
-          GPUTC_RETURN_IF_ERROR(ParseWireInt(value, key, &result.triangles));
+          GPUTC_RETURN_IF_ERROR(ParseWireInt(value, key, &decoded.triangles));
         } else if (key == "attempts") {
           int64_t attempts = 0;
           GPUTC_RETURN_IF_ERROR(ParseWireInt(value, key, &attempts));
-          result.attempts = static_cast<int>(attempts);
+          decoded.attempts = static_cast<int>(attempts);
         } else if (key == "trace") {
-          result.trace.push_back(value);
+          decoded.trace.push_back(value);
         } else if (key == "materialize-ms") {
           GPUTC_RETURN_IF_ERROR(
-              ParseWireDouble(value, key, &result.materialize_ms));
-        } else if (key == "exec-ms") {
-          GPUTC_RETURN_IF_ERROR(ParseWireDouble(value, key, &result.exec_ms));
+              ParseWireDouble(value, key, &decoded.materialize_ms));
         } else {
           return InvalidArgumentError("unknown wire field '" +
                                       std::string(key) + "'");
@@ -348,7 +348,9 @@ StatusOr<WorkerResult> DecodeWorkerResult(std::string_view body) {
         return OkStatus();
       });
   if (!parsed.ok()) return parsed.WithContext("DecodeWorkerResult");
-  return result;
+  decoded.status = code == StatusCode::kOk ? OkStatus() : Status(code, message);
+  *report = std::move(decoded);
+  return OkStatus();
 }
 
 StatusOr<WorkerProcess> WorkerProcess::Spawn(

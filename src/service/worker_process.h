@@ -2,10 +2,8 @@
 #define GPUTC_SERVICE_WORKER_PROCESS_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "service/manifest.h"
 #include "util/deadline.h"
@@ -60,56 +58,28 @@ StatusOr<WireFrame> ReadFrameWithDeadline(int fd, Deadline deadline,
                                           int poll_slice_ms = 10);
 
 /// Everything a worker needs to execute one request, serializable onto the
-/// wire. Mirrors BatchRequest plus the resolved batch-level policy pieces
-/// the worker cannot see (effective timeout, fallback chain spec).
+/// wire: the request with its timeout and fallback chain already resolved
+/// from the batch defaults, plus the tier-2 preprocessing-cache directory
+/// shared with the supervisor (empty = uncached). The worker builds its own
+/// in-process tier 1 on first use and keeps it across requests;
+/// `prep_cache_mb` bounds it (0 = default).
 struct WorkerRequest {
-  std::string id;
-  std::string source;
-  BatchRequest::Kind kind = BatchRequest::Kind::kDataset;
-  std::string target;
-  std::map<std::string, std::string> params;
-  /// Effective wall-clock budget the worker's executor self-enforces
-  /// (<= 0 = none); the supervisor's watchdog backstops it with SIGKILL.
-  double timeout_ms = 0.0;
-  /// Fallback chain spec ("Hu,cpu"), already resolved from the batch default
-  /// and any per-request override.
-  std::string chain;
-  /// Per-request fail-point schedule armed inside the worker before the
-  /// request runs and reverted after (the batch chaos hook).
-  std::string failpoints;
-  /// Tier-2 preprocessing-cache directory shared with the supervisor (empty
-  /// = uncached). The worker builds its own in-process tier 1 on first use
-  /// and keeps it across requests; `prep_cache_mb` bounds it (0 = default).
+  BatchRequest request;
   std::string prep_cache_dir;
   int64_t prep_cache_mb = 0;
-};
-
-/// What one worker execution produced, serializable back. `code`/`message`
-/// reconstruct the executor's Status (kOk when the count succeeded).
-struct WorkerResult {
-  StatusCode code = StatusCode::kOk;
-  std::string message;
-  std::string stage;    // Winning fallback stage ("" on failure).
-  std::string variant;  // Winning degradation variant ("" on failure).
-  int64_t triangles = 0;
-  int attempts = 0;
-  std::vector<std::string> trace;  // One line per attempt.
-  double materialize_ms = 0.0;
-  double exec_ms = 0.0;
-
-  Status status() const {
-    return code == StatusCode::kOk ? OkStatus() : Status(code, message);
-  }
 };
 
 /// Line-oriented wire codecs. Encode/Decode round-trip exactly; Decode is
 /// strict (unknown keys and malformed numbers are InvalidArgument) because
 /// both ends are the same binary — a decode failure means a torn or foreign
-/// payload, not a version skew to paper over.
+/// payload, not a version skew to paper over. The result codec carries a
+/// report's execution fields: status, stage, variant, triangles, attempts,
+/// trace and materialize_ms; DecodeWorkerResult leaves `*report` untouched
+/// when it fails.
 std::string EncodeWorkerRequest(const WorkerRequest& request);
 StatusOr<WorkerRequest> DecodeWorkerRequest(std::string_view body);
-std::string EncodeWorkerResult(const WorkerResult& result);
-StatusOr<WorkerResult> DecodeWorkerResult(std::string_view body);
+std::string EncodeWorkerResult(const RequestReport& report);
+Status DecodeWorkerResult(std::string_view body, RequestReport* report);
 
 /// Spawn tuning for one worker subprocess.
 struct WorkerSpawnOptions {

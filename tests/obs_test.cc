@@ -312,7 +312,6 @@ TEST(ObsServiceTest, EveryJournalLineCarriesAUniqueTraceIdWithASpanTree) {
   BatchServiceOptions options;
   options.jobs = 3;
   options.queue_depth = 8;
-  options.preprocess.calibrate = false;
   options.tracer = &tracer;
   BatchService service(options);
   const ReportLog journal(service);

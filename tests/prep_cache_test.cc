@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -32,6 +33,7 @@
 #include "service/cache_store.h"
 #include "tc/cpu_counters.h"
 #include "tc/registry.h"
+#include "util/durable_file.h"
 #include "util/failpoint.h"
 
 namespace gputc {
@@ -512,8 +514,6 @@ TEST(PrepCacheSingleFlightTest, WaiterHonorsItsDeadline) {
 
 TEST(PrepArtifactCodecTest, RoundTripsEveryField) {
   PrepArtifact artifact = TinyArtifact(6, 40, 3.25);
-  artifact.calibrated = true;
-  artifact.bw_by_log2_len = {1.0, 2.5, 7.75};
   artifact.direction_cost = 123.5;
   artifact.ordering_cost = 456.25;
 
@@ -523,9 +523,7 @@ TEST(PrepArtifactCodecTest, RoundTripsEveryField) {
   EXPECT_EQ(decoded->offsets, artifact.offsets);
   EXPECT_EQ(decoded->adj, artifact.adj);
   EXPECT_EQ(decoded->vertex_perm, artifact.vertex_perm);
-  EXPECT_EQ(decoded->calibrated, artifact.calibrated);
   EXPECT_EQ(decoded->lambda, artifact.lambda);
-  EXPECT_EQ(decoded->bw_by_log2_len, artifact.bw_by_log2_len);
   EXPECT_EQ(decoded->direction_cost, artifact.direction_cost);
   EXPECT_EQ(decoded->ordering_cost, artifact.ordering_cost);
   EXPECT_EQ(decoded->ByteSize(), artifact.ByteSize());
@@ -569,6 +567,45 @@ TEST(DiskCacheStoreTest, StoresAndLoadsBack) {
   ASSERT_TRUE(purged.ok());
   EXPECT_EQ(*purged, 1);
   EXPECT_EQ(store.Load(key).status().code(), StatusCode::kNotFound);
+}
+
+/// Appends `v` as four little-endian bytes.
+void PutLe32(std::string* out, uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    out->push_back(static_cast<char>((v >> shift) & 0xffu));
+  }
+}
+
+// The on-disk layout documented in cache_store.h, spelled out byte by byte:
+// a file built from it loads, and Store writes exactly those bytes.
+TEST(DiskCacheStoreTest, LoadsAFileBuiltFromTheDocumentedLayout) {
+  const PrepCacheKey key = SyntheticKey("deadbeef0000000a");
+  const std::string payload = EncodePrepArtifact(TinyArtifact(5, 32, 2.0));
+  std::string bytes = "GPTC-PREP-CACHE-V1\n";
+  PutLe32(&bytes, static_cast<uint32_t>(key.canonical.size()));
+  PutLe32(&bytes, Crc32c(key.canonical));
+  bytes += key.canonical;
+  PutLe32(&bytes, static_cast<uint32_t>(payload.size()));
+  PutLe32(&bytes, Crc32c(payload));
+  bytes += payload;
+
+  DiskCacheStore by_hand(FreshDir("layout-hand"));
+  ASSERT_TRUE(by_hand.EnsureDir().ok());
+  {
+    std::ofstream out(by_hand.PathFor(key), std::ios::binary);
+    out << bytes;
+    ASSERT_TRUE(out.good());
+  }
+  const StatusOr<std::string> loaded = by_hand.Load(key);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, payload);
+
+  DiskCacheStore stored(FreshDir("layout-store"));
+  ASSERT_TRUE(stored.Store(key, payload).ok());
+  std::ifstream in(stored.PathFor(key), std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, bytes);
 }
 
 /// Flips one byte at `offset` (from the start, or from the end if negative).

@@ -769,7 +769,7 @@ TEST_F(BatchServiceTest, WarmCacheAdmitsWhatColdAdmissionRejects) {
   // Warm an external cache under exactly the service's preprocessing config
   // (the fingerprint excludes the cache pointer itself).
   PrepCache cache(0);
-  PreprocessOptions warmup = options.preprocess;
+  PreprocessOptions warmup;
   warmup.prep_cache = &cache;
   ASSERT_TRUE(TryPreprocess(*probe, DeviceSpec::TitanXpLike(), warmup,
                             ExecContext())
@@ -923,7 +923,6 @@ TEST_F(BatchServiceTest, LiveHeapStaysFlatOverManyRequests) {
   BatchServiceOptions options;
   options.jobs = 4;
   options.queue_depth = 64;
-  options.preprocess.calibrate = false;
   BatchService service(options);
   std::mutex mu;
   std::condition_variable cv;

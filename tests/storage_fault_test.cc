@@ -364,8 +364,6 @@ TEST_F(StorageFaultTest, CacheBreakerBenchesTier2AndReprobes) {
   DiskCacheStore store(dir, CircuitBreakerOptions{3, 1000.0, 1},
                        [&now_ms] { return now_ms; });
   ASSERT_TRUE(store.EnsureDir().ok());
-  StorageHealthMonitor health;
-  store.set_health(&health);
 
   PrepCacheKey key;
   key.canonical = "graph=g;order=degree";
@@ -378,10 +376,6 @@ TEST_F(StorageFaultTest, CacheBreakerBenchesTier2AndReprobes) {
   }
   EXPECT_EQ(store.breaker().state(), CircuitBreaker::State::kOpen);
   EXPECT_EQ(FailPointRegistry::Instance().hits("cache.store"), 3);
-  EXPECT_EQ(health.errors_total(), 3);
-  EXPECT_TRUE(health.degraded());
-  EXPECT_NE(health.degraded_reason().find("cache"), std::string::npos)
-      << health.degraded_reason();
 
   // Benched: no syscalls, loads miss, stores are skipped — the failpoint
   // hit counter proves the disk was never touched.

@@ -76,7 +76,6 @@
 #include "util/net_io.h"
 #include "util/status.h"
 #include "util/table.h"
-#include "util/timer.h"
 #include "util/version.h"
 
 namespace gputc {
@@ -792,10 +791,10 @@ int CmdCache(const FlagParser& flags) {
 /// `batch --isolate`. Not listed in --help — it is an implementation detail
 /// of the supervisor, spawned with its request pipe on --request-fd and its
 /// response pipe on --response-fd. The loop reads one framed request at a
-/// time, executes it with the same resilient executor the in-process path
-/// uses, and writes heartbeats (a periodic tick plus one per executor
-/// stage) and finally the result frame back. A clean EOF on the request
-/// pipe is the shutdown signal.
+/// time, runs it through RunRequest, the runner the in-process path uses,
+/// and writes heartbeats (a periodic tick plus one per executor stage) and
+/// finally the report as the result frame. A clean EOF on the request pipe
+/// is the shutdown signal.
 int CmdWorker(const FlagParser& flags) {
   const int request_fd = static_cast<int>(flags.GetInt("request-fd", 3));
   const int response_fd = static_cast<int>(flags.GetInt("response-fd", 4));
@@ -822,8 +821,8 @@ int CmdWorker(const FlagParser& flags) {
   // The preprocessing cache outlives individual requests: tier 1 amortizes
   // repeated graphs across this worker's lifetime, and tier 2 (the
   // supervisor's --prep-cache directory, carried on the wire) is shared with
-  // every other worker in the pool. Built lazily from the first
-  // cache-enabled request; the supervisor never changes the knobs mid-run.
+  // every other worker in the pool. Built lazily from the first request
+  // that reaches the runner; the supervisor never changes the knobs mid-run.
   TieredPrepCache worker_cache;
 
   for (;;) {
@@ -841,22 +840,22 @@ int CmdWorker(const FlagParser& flags) {
       std::cerr << "worker: unexpected frame type '" << frame->type << "'\n";
       return kExitRuntime;
     }
-    StatusOr<WorkerRequest> request = DecodeWorkerRequest(frame->body);
-    if (!request.ok()) {
-      std::cerr << "worker: " << request.status().ToString() << "\n";
+    StatusOr<WorkerRequest> wire = DecodeWorkerRequest(frame->body);
+    if (!wire.ok()) {
+      std::cerr << "worker: " << wire.status().ToString() << "\n";
       return kExitRuntime;
     }
 
-    WorkerResult result;
+    RequestReport report;
     // Everything in the request block runs with fail points evaluable: the
     // per-request schedule is the supervisor's chaos hook, and its blast
     // radius is exactly this process — the point of isolation.
     {
       FailPointScope scope;
+      const BatchRequest& request = wire->request;
       Status armed = OkStatus();
-      if (!request->failpoints.empty()) {
-        armed = FailPointRegistry::Instance().ArmFromString(
-            request->failpoints);
+      if (!request.failpoints.empty()) {
+        armed = FailPointRegistry::Instance().ArmFromString(request.failpoints);
       }
       // Armed "worker.hang" simulates a wedged worker: heartbeats stop and
       // nothing further happens until the supervisor's watchdog SIGKILLs.
@@ -876,68 +875,26 @@ int CmdWorker(const FlagParser& flags) {
         }
       });
 
+      StatusOr<std::vector<FallbackStage>> chain =
+          ParseFallbackChain(request.fallback);
       if (!armed.ok()) {
-        const Status bad = armed.WithContext("failpoints override");
-        result.code = bad.code();
-        result.message = bad.message();
+        report.status = armed.WithContext("failpoints override");
+      } else if (!chain.ok()) {
+        report.status = chain.status().WithContext("fallback override");
       } else {
-        result = [&]() -> WorkerResult {
-          WorkerResult r;
-          const auto fail = [&r](const Status& status) {
-            r.code = status.code();
-            r.message = status.message();
-            return r;
-          };
-          StatusOr<std::vector<FallbackStage>> chain =
-              ParseFallbackChain(request->chain);
-          if (!chain.ok()) {
-            return fail(chain.status().WithContext("fallback chain"));
-          }
-          BatchRequest materialized;
-          materialized.id = request->id;
-          materialized.source = request->source;
-          materialized.kind = request->kind;
-          materialized.target = request->target;
-          materialized.params = request->params;
-          Timer materialize_timer;
-          StatusOr<Graph> graph = MaterializeRequest(materialized);
-          r.materialize_ms = materialize_timer.ElapsedMillis();
-          if (!graph.ok()) {
-            return fail(graph.status().WithContext("materializing '" +
-                                                   request->source + "'"));
-          }
-          ExecutionPolicy policy;
-          // The worker self-enforces the deadline; the supervisor's SIGKILL
-          // (deadline + grace) is only the backstop for a wedged executor.
-          policy.timeout_ms = request->timeout_ms;
-          policy.on_stage = [&send_beat](const std::string& stage) {
-            send_beat(stage);
-          };
-          if (worker_cache.cache == nullptr) {
-            worker_cache = MakeTieredPrepCache(request->prep_cache_dir,
-                                               request->prep_cache_mb);
-          }
-          PreprocessOptions preprocess;
-          preprocess.prep_cache = worker_cache.cache.get();
-          ExecutionTrace trace;
-          Timer exec_timer;
-          StatusOr<ExecutionResult> executed =
-              ExecuteResilient(*graph, DeviceSpec::TitanXpLike(), policy,
-                               *chain, preprocess, &trace);
-          r.exec_ms = exec_timer.ElapsedMillis();
-          // The supervisor classifies ok vs degraded against the service's
-          // chain, so no primary stage is needed here.
-          RequestReport mapped;
-          RecordExecution(executed, trace, /*primary=*/"", &mapped);
-          r.code = mapped.status.code();
-          r.message = mapped.status.message();
-          r.stage = mapped.stage;
-          r.variant = mapped.variant;
-          r.triangles = mapped.triangles;
-          r.attempts = mapped.attempts;
-          r.trace = std::move(mapped.trace);
-          return r;
-        }();
+        if (worker_cache.cache == nullptr) {
+          worker_cache =
+              MakeTieredPrepCache(wire->prep_cache_dir, wire->prep_cache_mb);
+        }
+        ExecutionPolicy policy;
+        // The worker self-enforces the deadline; the supervisor's SIGKILL
+        // (deadline + grace) is only the backstop for a wedged executor.
+        policy.timeout_ms = request.timeout_ms;
+        policy.on_stage = send_beat;
+        // The supervisor judges ok vs degraded against the service's chain,
+        // so no primary stage is needed here.
+        RunRequest(request, *std::move(chain), policy,
+                   worker_cache.cache.get(), /*primary=*/"", &report);
       }
 
       busy.store(false, std::memory_order_release);
@@ -949,7 +906,7 @@ int CmdWorker(const FlagParser& flags) {
       {
         std::lock_guard<std::mutex> lock(write_mu);
         written =
-            WriteFrame(response_fd, kFrameResult, EncodeWorkerResult(result));
+            WriteFrame(response_fd, kFrameResult, EncodeWorkerResult(report));
       }
       if (!written.ok()) {
         std::cerr << "worker: response write failed: " << written.ToString()
