@@ -39,19 +39,20 @@ std::vector<OrderingStrategy> PaperOrderingStrategies() {
 }
 
 Permutation ComputeOrdering(const Graph& undirected,
-                            const DirectedGraph& directed,
+                            const std::vector<EdgeCount>& out_degrees,
                             OrderingStrategy strategy,
                             const ResourceModel& model,
                             const AOrderOptions& aorder_options,
                             uint64_t seed) {
-  GPUTC_CHECK_EQ(undirected.num_vertices(), directed.num_vertices());
+  GPUTC_CHECK_EQ(static_cast<size_t>(undirected.num_vertices()),
+                 out_degrees.size());
   switch (strategy) {
     case OrderingStrategy::kOriginal:
       return IdentityPermutation(undirected.num_vertices());
     case OrderingStrategy::kDegree:
       return DegreeOrder(undirected);
     case OrderingStrategy::kAOrder:
-      return AOrder(directed.OutDegrees(), model, aorder_options).perm;
+      return AOrder(out_degrees, model, aorder_options).perm;
     case OrderingStrategy::kDfs:
       return DfsOrder(undirected);
     case OrderingStrategy::kBfsR:
@@ -69,6 +70,16 @@ Permutation ComputeOrdering(const Graph& undirected,
   }
   GPUTC_LOG(Fatal) << "unhandled ordering strategy";
   return {};
+}
+
+Permutation ComputeOrdering(const Graph& undirected,
+                            const DirectedGraph& directed,
+                            OrderingStrategy strategy,
+                            const ResourceModel& model,
+                            const AOrderOptions& aorder_options,
+                            uint64_t seed) {
+  return ComputeOrdering(undirected, directed.OutDegrees(), strategy, model,
+                         aorder_options, seed);
 }
 
 }  // namespace gputc

@@ -36,10 +36,19 @@ std::vector<OrderingStrategy> PaperOrderingStrategies();
 
 /// Computes the permutation (old id -> new id) for `strategy`.
 ///
-/// `undirected` is the graph being preprocessed; `directed` is its oriented
-/// version, whose out-degrees feed A-order's intensity functions (other
-/// strategies ignore it). `model` supplies F_c / F_m / lambda for A-order.
-/// `seed` only affects kRandom.
+/// `undirected` is the graph being preprocessed; `out_degrees` are its
+/// vertices' out-degrees under the orientation the kernel will count, and
+/// feed A-order's intensity functions (other strategies ignore them).
+/// `model` supplies F_c / F_m / lambda for A-order. `seed` only affects
+/// kRandom.
+Permutation ComputeOrdering(const Graph& undirected,
+                            const std::vector<EdgeCount>& out_degrees,
+                            OrderingStrategy strategy,
+                            const ResourceModel& model,
+                            const AOrderOptions& aorder_options = {},
+                            uint64_t seed = 1);
+
+/// The same, reading the out-degrees of `directed`, the oriented graph.
 Permutation ComputeOrdering(const Graph& undirected,
                             const DirectedGraph& directed,
                             OrderingStrategy strategy,
