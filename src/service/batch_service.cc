@@ -311,14 +311,12 @@ void BatchService::Process(int worker_index, QueuedRequest queued) {
     // Admission: the injected fault and genuine refusals are both sheds —
     // the request never started executing. A request whose base
     // fingerprint is already cached skips the preprocessing recompute, so
-    // it is admitted with the smaller post-cache estimate — reserving the
-    // cold estimate would double-count the directed graph it never rebuilds.
-    const bool base_cached =
-        prep_cache_ != nullptr &&
-        prep_cache_->Contains(PrepFingerprint(
-            graph, DeviceSpec::TitanXpLike(), PreprocessOptions{}));
-    const int64_t estimate = base_cached ? EstimateHostBytesCached(graph)
-                                         : EstimateHostBytes(graph);
+    // it is admitted with the smaller post-cache estimate; one that misses
+    // holds the cache's new artifact beside its own copy.
+    PreprocessOptions base;
+    base.prep_cache = prep_cache_;
+    const int64_t estimate =
+        EstimateRequestHostBytes(graph, DeviceSpec::TitanXpLike(), base);
     admit_span.SetAttr("estimate_bytes", estimate);
     const Clock::time_point admit_start = Clock::now();
     Status admitted = CheckFailPoint("service.admit");

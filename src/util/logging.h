@@ -88,4 +88,13 @@ class LogMessage {
 #define GPUTC_CHECK_GT(a, b) GPUTC_CHECK_OP(>, a, b)
 #define GPUTC_CHECK_GE(a, b) GPUTC_CHECK_OP(>=, a, b)
 
+/// GPUTC_CHECK in builds without NDEBUG; compiled out (condition unevaluated)
+/// otherwise. For invariants checked inside per-vertex loops.
+#ifdef NDEBUG
+#define GPUTC_DCHECK(condition) \
+  while (false) GPUTC_CHECK(condition)
+#else
+#define GPUTC_DCHECK(condition) GPUTC_CHECK(condition)
+#endif
+
 #endif  // GPUTC_UTIL_LOGGING_H_

@@ -102,5 +102,20 @@ TEST(DirectedGraphTest, FromPartsValidatesShape) {
   EXPECT_TRUE(d.HasArc(0, 2));
 }
 
+// Out-degrees that disagree with the rank would spill a row into the next
+// one, and past the adjacency at the last row; builds without NDEBUG check
+// where each row ends.
+TEST(DirectedGraphDeathTest, OutDegreesThatDisagreeWithTheRankFailARowCheck) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the row check is compiled out under NDEBUG";
+#else
+  const Graph g = CompleteGraph(3);  // Identity rank: degrees {2, 1, 0}.
+  EXPECT_DEATH(DirectedGraph::FromRankAndPermutation(
+                   g, IdentityPermutation(3), {1, 2, 0},
+                   IdentityPermutation(3)),
+               "next == ");
+#endif
+}
+
 }  // namespace
 }  // namespace gputc

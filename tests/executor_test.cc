@@ -7,6 +7,7 @@
 
 #include "core/executor.h"
 #include "core/pipeline.h"
+#include "core/prep_cache.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "tc/cpu_counters.h"
@@ -402,6 +403,26 @@ TEST(EstimateHostBytesTest, GrowsWithGraphSize) {
   const int64_t large = EstimateHostBytes(CompleteGraph(100));
   EXPECT_GT(small, 0);
   EXPECT_GT(large, small);
+}
+
+// A request that fills its cache holds the new artifact beside its own
+// copy, so it is charged more than a plain recompute; a hit, less.
+TEST(EstimateHostBytesTest, RequestEstimateFollowsTheCache) {
+  const Graph g = GenerateErdosRenyi(300, 1500, /*seed=*/1);
+  const DeviceSpec spec = DeviceSpec::TitanXpLike();
+  PreprocessOptions options;
+  EXPECT_EQ(EstimateRequestHostBytes(g, spec, options), EstimateHostBytes(g));
+
+  PrepCache cache(0);
+  options.prep_cache = &cache;
+  EXPECT_EQ(EstimateRequestHostBytes(g, spec, options),
+            EstimateHostBytesFill(g));
+  ASSERT_TRUE(TryPreprocess(g, spec, options, ExecContext()).ok());
+  EXPECT_EQ(EstimateRequestHostBytes(g, spec, options),
+            EstimateHostBytesCached(g));
+
+  EXPECT_LT(EstimateHostBytesCached(g), EstimateHostBytes(g));
+  EXPECT_LT(EstimateHostBytes(g), EstimateHostBytesFill(g));
 }
 
 }  // namespace
