@@ -11,9 +11,9 @@
 namespace gputc {
 
 /// Global memory admission control for concurrent requests: the sum of
-/// EstimateHostBytes over every admitted (in-flight) request is kept under a
-/// process-wide budget, so N workers cannot collectively commit to more
-/// peak host memory than one configured ceiling.
+/// EstimateRequestHostBytes over every admitted (in-flight) request is kept
+/// under a process-wide budget, so N workers cannot collectively commit to
+/// more peak host memory than one configured ceiling.
 ///
 /// Semantics:
 ///  - A request larger than the whole budget can never run: Admit fails fast

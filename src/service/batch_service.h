@@ -41,8 +41,8 @@ struct BatchServiceOptions {
   size_t queue_depth = 16;
   /// What Submit does when the queue is full.
   ShedPolicy shed_policy = ShedPolicy::kBlock;
-  /// Global host-memory budget: the sum of EstimateHostBytes over admitted
-  /// requests stays under this. <= 0 disables the budget.
+  /// Global host-memory budget: the sum of EstimateRequestHostBytes over
+  /// admitted requests stays under this. <= 0 disables the budget.
   int64_t mem_budget_bytes = 0;
   /// Per-request wall-clock deadline enforced by the watchdog thread firing
   /// the request's CancelToken. <= 0 means no deadline. A manifest line's
