@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "util/durable_file.h"
@@ -24,10 +23,11 @@ constexpr char kFileSuffix[] = ".gptc";
 /// corrupt length field, not a real artifact.
 constexpr uint32_t kMaxSectionBytes = 1u << 30;
 
-/// Reads one EncodeFrame section starting at `*pos`; DataLoss on any
-/// truncation or checksum mismatch.
-StatusOr<std::string> ReadFramed(const std::string& bytes, size_t* pos,
-                                 const char* what) {
+/// Checks one EncodeFrame section starting at `*pos` and returns its
+/// payload as a view into `bytes`; DataLoss on any truncation or checksum
+/// mismatch.
+StatusOr<std::string_view> ReadFramed(std::string_view bytes, size_t* pos,
+                                      const char* what) {
   if (bytes.size() - *pos < kFrameHeaderBytes) {
     return DataLossError(std::string("cache file truncated before ") + what +
                          " frame header");
@@ -41,7 +41,7 @@ StatusOr<std::string> ReadFramed(const std::string& bytes, size_t* pos,
                          " section (" + std::to_string(header.length) +
                          " bytes framed)");
   }
-  std::string payload = bytes.substr(*pos, header.length);
+  const std::string_view payload = bytes.substr(*pos, header.length);
   *pos += header.length;
   if (Crc32c(payload) != header.crc) {
     return DataLossError(std::string(what) + " section checksum mismatch");
@@ -124,19 +124,28 @@ StatusOr<std::string> DiskCacheStore::Load(const PrepCacheKey& key) {
     if (!in) {
       return NotFoundError("no cached artifact at " + path);
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (!in.good() && !in.eof()) {
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) {
+      return DataLossError("cache file " + path + " is not a regular file");
+    }
+    // Read straight into one buffer of the opened file's size: the artifact
+    // is most of the file, and a request admitted for it holds no other
+    // copy of it before decoding.
+    const std::streamoff size = in.seekg(0, std::ios::end).tellg();
+    if (size < 0 || !in.seekg(0)) {
       return DataLossError("short read of cache file " + path);
     }
-    const std::string bytes = buffer.str();
+    std::string bytes(static_cast<size_t>(size), '\0');
+    if (!in.read(bytes.data(), static_cast<std::streamsize>(size))) {
+      return DataLossError("short read of cache file " + path);
+    }
 
     if (bytes.size() < kFileHeaderLen ||
         bytes.compare(0, kFileHeaderLen, kFileHeader) != 0) {
       return DataLossError("cache file " + path + " has a foreign header");
     }
     size_t pos = kFileHeaderLen;
-    GPUTC_ASSIGN_OR_RETURN(const std::string canonical,
+    GPUTC_ASSIGN_OR_RETURN(const std::string_view canonical,
                            ReadFramed(bytes, &pos, "key"));
     if (canonical != key.canonical) {
       // A real 64-bit id collision: the file belongs to another fingerprint.
@@ -144,12 +153,14 @@ StatusOr<std::string> DiskCacheStore::Load(const PrepCacheKey& key) {
       return NotFoundError("cache file " + path +
                            " holds a different fingerprint (id collision)");
     }
-    GPUTC_ASSIGN_OR_RETURN(std::string payload,
+    GPUTC_ASSIGN_OR_RETURN(const std::string_view payload,
                            ReadFramed(bytes, &pos, "artifact"));
     if (pos != bytes.size()) {
       return DataLossError("cache file " + path + " has trailing bytes");
     }
-    return payload;
+    // The artifact is the file's tail: cut the buffer down to it in place.
+    bytes.erase(0, static_cast<size_t>(payload.data() - bytes.data()));
+    return bytes;
   }();
   // A miss (absent file, id collision) is the disk doing its job, not a
   // fault: only real I/O or corruption failures feed the breaker.
@@ -172,12 +183,15 @@ Status DiskCacheStore::Store(const PrepCacheKey& key,
     GPUTC_INJECT_FAULT("cache.store");
     GPUTC_RETURN_IF_ERROR(EnsureDir());
 
-    const std::string content = std::string(kFileHeader, kFileHeaderLen) +
-                                EncodeFrame(key.canonical) +
-                                EncodeFrame(encoded);
+    // The artifact follows its frame header as its own write, so a store
+    // holds no copy of it beside `encoded`.
+    const std::string head = std::string(kFileHeader, kFileHeaderLen) +
+                             EncodeFrame(key.canonical) +
+                             EncodeFrameHeader(encoded);
     GPUTC_ASSIGN_OR_RETURN(AtomicFileWriter writer,
                            AtomicFileWriter::Create(PathFor(key)));
-    GPUTC_RETURN_IF_ERROR(writer.Append(content));
+    GPUTC_RETURN_IF_ERROR(writer.Append(head));
+    GPUTC_RETURN_IF_ERROR(writer.Append(encoded));
     return writer.Commit();
   }();
   RecordOutcome(stored, /*benign=*/false);

@@ -134,12 +134,17 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
 }
 
 std::string EncodeFrame(std::string_view payload) {
-  std::string frame;
+  std::string frame = EncodeFrameHeader(payload);
   frame.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32c(payload));
   frame.append(payload.data(), payload.size());
   return frame;
+}
+
+std::string EncodeFrameHeader(std::string_view payload) {
+  std::string header;
+  PutU32(&header, static_cast<uint32_t>(payload.size()));
+  PutU32(&header, Crc32c(payload));
+  return header;
 }
 
 StatusOr<FrameHeader> DecodeFrameHeader(const char* header,

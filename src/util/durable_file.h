@@ -75,6 +75,10 @@ inline constexpr size_t kFrameHeaderBytes = 2 * sizeof(uint32_t);
 /// Header + payload of the frame carrying `payload`.
 std::string EncodeFrame(std::string_view payload);
 
+/// Only the kFrameHeaderBytes of that frame, for a writer that streams a
+/// large payload after it instead of copying it into one buffer.
+std::string EncodeFrameHeader(std::string_view payload);
+
 struct FrameHeader {
   uint32_t length = 0;  // Payload bytes that follow the header.
   uint32_t crc = 0;     // CRC32C of those bytes.
