@@ -67,6 +67,10 @@ PreprocessOptions DegradedOptions(const PreprocessOptions& base, int variant) {
   return options;
 }
 
+/// The rungs of every non-cpu stage's ladder: base, no-aorder,
+/// no-adirection.
+constexpr int kLadderRungs = 3;
+
 const char* VariantName(int variant) {
   switch (variant) {
     case 0:
@@ -224,6 +228,9 @@ StatusOr<ExecutionResult> ExecuteResilient(
   const ParallelRequestScope in_flight;
 
   ExecContext ctx;
+  ctx.deadline = policy.deadline;
+  ctx.count_limit = policy.count_limit;
+  ctx.cancel = policy.cancel;
   ctx.tracer = policy.tracer;
   if (policy.tracer != nullptr) {
     ctx.trace_id =
@@ -261,12 +268,6 @@ StatusOr<ExecutionResult> ExecuteResilient(
     }
   }
 
-  if (policy.timeout_ms > 0.0) {
-    ctx.deadline = Deadline::AfterMillis(policy.timeout_ms);
-  }
-  ctx.count_limit = policy.count_limit;
-  ctx.cancel = policy.cancel;
-
   // Injections only land while the executor drives the pipeline: code that
   // never opted into recovery never sees an armed fail point.
   FailPointScope scope;
@@ -275,12 +276,11 @@ StatusOr<ExecutionResult> ExecuteResilient(
   ExecutionTrace& trace = trace_out != nullptr ? *trace_out : local_trace;
   trace.attempts.clear();
 
-  const int variants_per_stage =
-      1 + std::clamp(policy.max_retries_per_stage, 0, 2);
   Status last_error;
 
   for (const FallbackStage& stage : chain) {
-    const int stage_variants = stage.is_cpu ? 1 : variants_per_stage;
+    // The cpu stage has no preprocessing to degrade.
+    const int stage_variants = stage.is_cpu ? 1 : kLadderRungs;
     for (int variant = 0; variant < stage_variants; ++variant) {
       AttemptRecord record;
       record.stage = stage.name();

@@ -26,22 +26,21 @@ namespace gputc {
 
 /// Resource limits of one execution. Zero/negative limits mean "none".
 struct ExecutionPolicy {
-  /// Wall-clock budget for the whole execution (all stages together).
-  double timeout_ms = 0.0;
+  /// When the whole execution (all stages together) must stop. The caller
+  /// starts the clock, so time spent before the call (a queue pickup, the
+  /// input load) counts against the same budget. Infinite by default.
+  Deadline deadline;
   /// Ceiling on the *modelled* kernel time of an accepted result: a run
   /// whose simulated cost blows past this is treated as a failed attempt.
   double max_model_ms = 0.0;
   /// Host memory budget; checked against EstimateRequestHostBytes up front.
   int64_t mem_budget_bytes = 0;
-  /// Degraded retries per stage after its base attempt, walking the ladder
-  /// base -> drop A-order -> drop A-direction (and calibration).
-  int max_retries_per_stage = 2;
   /// Triangle accumulator ceiling (ExecContext::count_limit). Production
   /// leaves it at int64 max; tests lower it to exercise overflow handling.
   int64_t count_limit = std::numeric_limits<int64_t>::max();
   /// External cancellation handle threaded into the execution context.
-  /// Copies share one flag, so a caller (the batch service's watchdog, a
-  /// signal handler's drain path) can stop the run from another thread; a
+  /// Copies share one flag, so another thread can stop the run: the batch
+  /// service's drain arms its token to fire when the grace period ends. A
   /// default-constructed token never fires.
   CancelToken cancel;
   /// Observability sink (optional, not owned). When set, the executor opens
@@ -144,8 +143,8 @@ int64_t EstimateRequestHostBytes(const Graph& g, const DeviceSpec& spec,
 ///    fails immediately — no fallback can fix a corrupt CSR.
 ///  - Every attempt runs inside a FailPointScope, so armed fail points
 ///    (GPUTC_FAILPOINTS) inject into it but not into unsuspecting callers.
-///  - A stage's base attempt uses `base_options`; degraded retries first
-///    drop A-order, then A-direction + calibration.
+///  - A stage's base attempt uses `base_options`; its two degraded retries
+///    first drop A-order, then A-direction + calibration.
 ///  - DeadlineExceeded and Cancelled stop the whole chain (retrying cannot
 ///    beat an expired clock); any other failure moves down the ladder.
 ///  - A result whose modelled kernel time exceeds max_model_ms is recorded

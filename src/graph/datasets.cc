@@ -146,12 +146,6 @@ Graph LoadDataset(const std::string& name) {
   return r->make();
 }
 
-StatusOr<DatasetSpec> TryGetDatasetSpec(const std::string& name) {
-  const Registration* r = Find(name);
-  if (r == nullptr) return UnknownDatasetError(name);
-  return r->spec;
-}
-
 StatusOr<Graph> TryLoadDataset(const std::string& name) {
   const Registration* r = Find(name);
   if (r == nullptr) return UnknownDatasetError(name);

@@ -34,9 +34,8 @@ DatasetSpec GetDatasetSpec(const std::string& name);
 /// identical graphs. Aborts on unknown names.
 Graph LoadDataset(const std::string& name);
 
-/// Fallible variants for user-supplied names (CLI, config files): kNotFound
-/// with the list of registered names instead of aborting.
-StatusOr<DatasetSpec> TryGetDatasetSpec(const std::string& name);
+/// Fallible variant for user-supplied names (CLI, manifests): kNotFound with
+/// the list of registered names instead of aborting.
 StatusOr<Graph> TryLoadDataset(const std::string& name);
 
 /// True if `name` is registered.

@@ -31,13 +31,6 @@ std::string ToString(OrderingStrategy strategy) {
   return "unknown";
 }
 
-std::vector<OrderingStrategy> PaperOrderingStrategies() {
-  return {OrderingStrategy::kOriginal,  OrderingStrategy::kDegree,
-          OrderingStrategy::kDfs,       OrderingStrategy::kBfsR,
-          OrderingStrategy::kSlashBurn, OrderingStrategy::kGro,
-          OrderingStrategy::kAOrder};
-}
-
 Permutation ComputeOrdering(const Graph& undirected,
                             const std::vector<EdgeCount>& out_degrees,
                             OrderingStrategy strategy,

@@ -31,9 +31,6 @@ enum class OrderingStrategy {
 /// "A-order", "DFS", "BFS-R", "SlashBurn", "GRO", "random").
 std::string ToString(OrderingStrategy strategy);
 
-/// The strategies compared in Tables 5 and 6, in column order.
-std::vector<OrderingStrategy> PaperOrderingStrategies();
-
 /// Computes the permutation (old id -> new id) for `strategy`.
 ///
 /// `undirected` is the graph being preprocessed; `out_degrees` are its

@@ -1,11 +1,13 @@
 #include "service/admission.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 
 namespace gputc {
 
-Status AdmissionController::Admit(int64_t bytes, const CancelToken& cancel) {
+Status AdmissionController::Admit(int64_t bytes, const CancelToken& cancel,
+                                  Deadline deadline) {
   if (bytes < 0) bytes = 0;
   std::unique_lock<std::mutex> lock(mu_);
   if (budget_bytes_ > 0 && bytes > budget_bytes_) {
@@ -14,11 +16,14 @@ Status AdmissionController::Admit(int64_t bytes, const CancelToken& cancel) {
         " bytes of host memory, over the whole service budget of " +
         std::to_string(budget_bytes_) + " bytes; it can never be admitted");
   }
+  const auto fits = [&] {
+    return budget_bytes_ <= 0 || in_use_bytes_ + bytes <= budget_bytes_;
+  };
   // Wait on a short tick rather than a bare condition so an external
   // CancelToken (which has no hook into our condvar) is noticed promptly.
-  while (!aborted_ && !cancel.cancelled() && budget_bytes_ > 0 &&
-         in_use_bytes_ + bytes > budget_bytes_) {
-    freed_.wait_for(lock, std::chrono::milliseconds(5));
+  while (!fits() && !aborted_ && !cancel.cancelled() && !deadline.expired()) {
+    freed_.wait_for(lock, std::chrono::duration<double, std::milli>(std::min(
+                              5.0, deadline.remaining_millis())));
   }
   if (aborted_) {
     return CancelledError("admission controller aborted (service draining)");
@@ -26,6 +31,10 @@ Status AdmissionController::Admit(int64_t bytes, const CancelToken& cancel) {
   if (cancel.cancelled()) {
     return CancelledError("cancelled while waiting for memory admission: " +
                           cancel.reason());
+  }
+  if (!fits()) {
+    return DeadlineExceededError(
+        "request deadline expired while waiting for memory admission");
   }
   in_use_bytes_ += bytes;
   ++in_flight_;

@@ -21,7 +21,9 @@ namespace gputc {
 ///  - A request that merely does not fit *right now* waits until enough
 ///    in-flight work releases its reservation (admission is backpressure,
 ///    not shedding), unless `cancel` fires or Abort() drains the controller,
-///    which fail the wait with Cancelled.
+///    which fail the wait with Cancelled, or its `deadline` passes, which
+///    fails it with DeadlineExceeded. A request that fits is admitted
+///    whatever its deadline: the executor's first poll reports the expiry.
 ///  - budget_bytes <= 0 disables the budget; Admit still tracks in-flight
 ///    counts so drain reporting stays accurate.
 ///
@@ -36,7 +38,8 @@ class AdmissionController {
 
   /// Reserves `bytes` against the budget, blocking while full. Every
   /// successful Admit must be paired with exactly one Release(bytes).
-  Status Admit(int64_t bytes, const CancelToken& cancel);
+  Status Admit(int64_t bytes, const CancelToken& cancel,
+               Deadline deadline = Deadline::Infinite());
 
   /// Returns a reservation made by Admit.
   void Release(int64_t bytes);

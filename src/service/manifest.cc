@@ -49,15 +49,45 @@ Status ParseParams(std::string_view spec,
   return OkStatus();
 }
 
-Status ParseStrictDouble(const std::string& raw, const std::string& what,
-                         double* out) {
+/// Reads all of `raw` into `*out` as a number, or as an integer when
+/// `integer`; false when `raw` holds anything else.
+bool ReadNumber(const std::string& raw, bool integer, double* out) {
   char* end = nullptr;
-  *out = std::strtod(raw.c_str(), &end);
-  if (raw.empty() || end == raw.c_str() || *end != '\0') {
-    return InvalidArgumentError(what + " value '" + raw +
-                                "' is not a number");
+  *out = integer ? static_cast<double>(std::strtoll(raw.c_str(), &end, 10))
+                 : std::strtod(raw.c_str(), &end);
+  return end != raw.c_str() && *end == '\0';
+}
+
+/// The keys of each generator family; gamma and beta take numbers, every
+/// other key an integer.
+constexpr std::pair<std::string_view, std::string_view> kGenFamilies[] = {
+    {"rmat", "scale edge-factor seed"},
+    {"powerlaw", "nodes gamma min-degree max-degree seed"},
+    {"er", "nodes edges seed"},
+    {"ws", "nodes k beta seed"}};
+
+/// InvalidArgument unless `request` names a generator family and each of its
+/// parameters is a key of that family holding a value of the key's type.
+Status CheckGenParams(const BatchRequest& request) {
+  for (const auto& [family, keys] : kGenFamilies) {
+    if (request.target != family) continue;
+    for (const auto& [key, value] : request.params) {
+      const bool known = (" " + std::string(keys) + " ")
+                             .find(" " + key + " ") != std::string::npos;
+      const bool integer = key != "gamma" && key != "beta";
+      double ignored = 0.0;
+      if (!known || !ReadNumber(value, integer, &ignored)) {
+        return InvalidArgumentError(
+            (known ? "parameter " + key + "=" + value + " is not " +
+                         (integer ? "an integer" : "a number")
+                   : "unknown parameter '" + key + "'") +
+            "; valid " + request.target + " keys: " + std::string(keys));
+      }
+    }
+    return OkStatus();
   }
-  return OkStatus();
+  return InvalidArgumentError("unknown generator family '" + request.target +
+                              "'; valid choices: rmat powerlaw er ws");
 }
 
 /// Parses one non-comment manifest line into a request (sans id).
@@ -82,12 +112,7 @@ Status ParseLine(std::string_view line, BatchRequest* request) {
       GPUTC_RETURN_IF_ERROR(ParseParams(rest.substr(colon + 1),
                                         &request->params));
     }
-    if (request->target != "rmat" && request->target != "powerlaw" &&
-        request->target != "er" && request->target != "ws") {
-      return InvalidArgumentError("unknown generator family '" +
-                                  request->target +
-                                  "'; valid choices: rmat powerlaw er ws");
-    }
+    GPUTC_RETURN_IF_ERROR(CheckGenParams(*request));
   } else if (source.find('/') != std::string::npos ||
              source.find('.') != std::string::npos) {
     request->kind = BatchRequest::Kind::kFile;
@@ -110,8 +135,10 @@ Status ParseLine(std::string_view line, BatchRequest* request) {
     const std::string key = override_token.substr(0, eq);
     const std::string value = override_token.substr(eq + 1);
     if (key == "timeout-ms") {
-      GPUTC_RETURN_IF_ERROR(
-          ParseStrictDouble(value, "timeout-ms", &request->timeout_ms));
+      if (!ReadNumber(value, /*integer=*/false, &request->timeout_ms)) {
+        return InvalidArgumentError("timeout-ms value '" + value +
+                                    "' is not a number");
+      }
       if (request->timeout_ms < 0.0) {
         return InvalidArgumentError("timeout-ms must be >= 0, got " + value);
       }

@@ -43,7 +43,7 @@ void AdaptiveLimiter::ReleaseSlot() {
 }
 
 void AdaptiveLimiter::AdaptLocked() {
-  last_window_p99_ = Percentile(window_, options_.percentile);
+  last_window_p99_ = Percentile(window_, 99.0);
   window_.clear();
   if (last_window_p99_ > options_.target_ms) {
     // Multiplicative decrease: shed hard, the tail is already collapsing.

@@ -16,7 +16,7 @@ namespace gputc {
 // unbounded buffering and the admission gate from memory blowup, but
 // neither notices the earlier failure mode of an overloaded service:
 // latency collapse while every request still "fits". This limiter does —
-// when the p-th percentile of recent request latencies exceeds the target,
+// when the p99 of recent request latencies exceeds the target,
 // the concurrency limit multiplicatively shrinks (shedding load before the
 // service thrashes); while latency stays healthy it creeps back up one slot
 // per window (probing for capacity). The classic TCP congestion-control
@@ -29,10 +29,8 @@ struct AdaptiveLimiterOptions {
   int initial_limit = 4;
   int min_limit = 1;
   int max_limit = 64;
-  /// Latency target: adapt on the `percentile`-th percentile of each
-  /// window crossing `target_ms`.
+  /// Latency target: adapt on each window's p99 crossing `target_ms`.
   double target_ms = 1000.0;
-  double percentile = 99.0;
   /// Completions per adaptation window. Small enough to react within a few
   /// dozen requests, large enough that one outlier is not a regime change.
   int window = 32;

@@ -537,8 +537,9 @@ ServerSummary Server::Run() {
       if (!work_pending && !responses_pending && !writes_pending) break;
       if (grace.expired() && !service_drained) {
         // Rung three: the grace window closed; cancel stragglers through
-        // the service's own drain (watchdog fires their CancelTokens, shed
-        // queue entries are journaled as rejected).
+        // the service's own drain (its cancel token fires when the batch
+        // grace ends and each execution stops at its next poll; queued
+        // entries are journaled as rejected).
         service_drained = true;
         service_.RequestDrain(shutdown_reason());
         final_deadline =

@@ -31,6 +31,11 @@ class Deadline {
     return d;
   }
 
+  /// A `timeout-ms` budget: expires `ms` from now, or never when `ms` <= 0.
+  static Deadline FromTimeoutMs(double ms) {
+    return ms > 0.0 ? AfterMillis(ms) : Infinite();
+  }
+
   /// The earlier of two deadlines — how layered budgets compose (e.g. a
   /// request deadline under a service-wide drain deadline).
   static Deadline Earlier(Deadline a, Deadline b) {
@@ -61,19 +66,34 @@ class CancelToken {
   CancelToken() : state_(std::make_shared<State>()) {}
 
   void Cancel(std::string reason = "operation cancelled") {
-    {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      if (state_->reason.empty()) state_->reason = std::move(reason);
-    }
-    state_->cancelled.store(true, std::memory_order_release);
+    Trip(*state_, std::move(reason));
+  }
+
+  /// Cancels with `reason` once `deadline` passes: from the first poll after
+  /// it, the token reads cancelled. Only the first call arms the token; an
+  /// earlier Cancel() keeps its own reason.
+  void CancelAt(Deadline deadline, std::string reason) {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    if (state_->armed.load(std::memory_order_relaxed)) return;
+    state_->fire_at = deadline;
+    state_->fire_reason = std::move(reason);
+    state_->armed.store(true, std::memory_order_release);
   }
 
   bool cancelled() const {
-    return state_->cancelled.load(std::memory_order_acquire);
+    if (state_->cancelled.load(std::memory_order_acquire)) return true;
+    // fire_at and fire_reason never change once `armed` reads true.
+    if (!state_->armed.load(std::memory_order_acquire) ||
+        !state_->fire_at.expired()) {
+      return false;
+    }
+    Trip(*state_, state_->fire_reason);
+    return true;
   }
 
-  /// The reason passed to the first Cancel(); empty while not cancelled.
+  /// The reason of the first cancellation; empty while not cancelled.
   std::string reason() const {
+    (void)cancelled();
     std::lock_guard<std::mutex> lock(state_->mu);
     return state_->reason;
   }
@@ -81,9 +101,21 @@ class CancelToken {
  private:
   struct State {
     std::atomic<bool> cancelled{false};
+    std::atomic<bool> armed{false};
     mutable std::mutex mu;
     std::string reason;
+    Deadline fire_at;
+    std::string fire_reason;
   };
+
+  static void Trip(State& state, std::string reason) {
+    {
+      std::lock_guard<std::mutex> lock(state.mu);
+      if (state.reason.empty()) state.reason = std::move(reason);
+    }
+    state.cancelled.store(true, std::memory_order_release);
+  }
+
   std::shared_ptr<State> state_;
 };
 

@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "util/logging.h"
@@ -69,44 +68,6 @@ LinearFit FitLine(const std::vector<double>& xs,
   return fit;
 }
 
-Histogram::Histogram(double lo, double hi, int buckets)
-    : lo_(lo), hi_(hi), counts_(static_cast<size_t>(buckets), 0) {
-  GPUTC_CHECK_GT(buckets, 0);
-  GPUTC_CHECK_LT(lo, hi);
-}
-
-void Histogram::Add(double value) {
-  const int n = num_buckets();
-  int idx =
-      static_cast<int>((value - lo_) / (hi_ - lo_) * static_cast<double>(n));
-  idx = std::clamp(idx, 0, n - 1);
-  // Concurrent workers share one histogram; plain ++ would race, so the
-  // accumulators are bumped atomically (relaxed — readers only look after
-  // every writer has joined).
-  std::atomic_ref<int64_t>(counts_[static_cast<size_t>(idx)])
-      .fetch_add(1, std::memory_order_relaxed);
-  std::atomic_ref<int64_t>(total_).fetch_add(1, std::memory_order_relaxed);
-}
-
-int64_t Histogram::bucket_count(int i) const {
-  // Atomic load to pair with Add's atomic_ref increments: a reader running
-  // concurrently with writers (the batch service's metrics snapshot) must
-  // not tear a count. const_cast is safe — atomic_ref only loads here.
-  return std::atomic_ref<int64_t>(
-             const_cast<int64_t&>(counts_[static_cast<size_t>(i)]))
-      .load(std::memory_order_relaxed);
-}
-
-int64_t Histogram::total() const {
-  return std::atomic_ref<int64_t>(const_cast<int64_t&>(total_))
-      .load(std::memory_order_relaxed);
-}
-
-double Histogram::BucketLo(int i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(num_buckets());
-}
-
 double PearsonCorrelation(const std::vector<double>& xs,
                           const std::vector<double>& ys) {
   if (xs.size() != ys.size() || xs.empty()) return 0.0;
@@ -131,31 +92,6 @@ double Percentile(std::vector<double> values, double pct) {
   const size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return values[lo] + (values[hi] - values[lo]) * frac;
-}
-
-void LatencyRecorder::Record(double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  samples_.push_back(value);
-}
-
-int64_t LatencyRecorder::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(samples_.size());
-}
-
-Summary LatencyRecorder::Summarize() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ::gputc::Summarize(samples_);
-}
-
-double LatencyRecorder::PercentileValue(double pct) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ::gputc::Percentile(samples_, pct);
-}
-
-std::vector<double> LatencyRecorder::Samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return samples_;
 }
 
 }  // namespace gputc

@@ -2,7 +2,6 @@
 #define GPUTC_UTIL_STATS_H_
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace gputc {
@@ -33,33 +32,6 @@ struct LinearFit {
 /// equal, nonzero size. Degenerate inputs (constant x) yield slope 0.
 LinearFit FitLine(const std::vector<double>& xs, const std::vector<double>& ys);
 
-/// Fixed-width histogram over [lo, hi) with `buckets` buckets; values outside
-/// the range are clamped into the first/last bucket. Add is safe to call
-/// concurrently (lock-free atomic increments), and the readers load the
-/// accumulators atomically, so a snapshot taken while writers are still
-/// running is free of torn reads — it sees some valid momentary value per
-/// bucket. Exact totals still require all writers to have joined.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int buckets);
-
-  void Add(double value);
-
-  /// Number of samples in bucket `i`.
-  int64_t bucket_count(int i) const;
-  int num_buckets() const { return static_cast<int>(counts_.size()); }
-  int64_t total() const;
-
-  /// Lower edge of bucket `i`.
-  double BucketLo(int i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
-
 /// Pearson correlation coefficient of two equally sized samples; 0 on
 /// degenerate input.
 double PearsonCorrelation(const std::vector<double>& xs,
@@ -68,24 +40,6 @@ double PearsonCorrelation(const std::vector<double>& xs,
 /// The `pct`-th percentile (0..100) by linear interpolation between order
 /// statistics; 0 for an empty sample. Takes a copy because it sorts.
 double Percentile(std::vector<double> values, double pct);
-
-/// Mutex-guarded sample accumulator for concurrent writers — the batch
-/// service's workers record per-request latencies into one of these, and the
-/// throughput bench reads the percentiles afterwards. All members are
-/// thread-safe.
-class LatencyRecorder {
- public:
-  void Record(double value);
-
-  int64_t count() const;
-  Summary Summarize() const;
-  double PercentileValue(double pct) const;
-  std::vector<double> Samples() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<double> samples_;
-};
 
 }  // namespace gputc
 

@@ -191,7 +191,7 @@ TEST_F(ExecutorTest, ExhaustedChainReportsResourceExhausted) {
 
 TEST_F(ExecutorTest, TinyDeadlineStopsTheChainEarly) {
   ExecutionPolicy policy;
-  policy.timeout_ms = 0.0001;
+  policy.deadline = Deadline::AfterMillis(0.0001);
   ExecutionTrace trace;
   const StatusOr<ExecutionResult> result =
       ExecuteResilient(g_, spec_, policy,

@@ -249,6 +249,43 @@ TEST(CancelTokenTest, FirstReasonWins) {
   EXPECT_EQ(token.reason(), "first");
 }
 
+TEST(CancelTokenTest, CancelAtWaitsForItsDeadline) {
+  CancelToken token;
+  token.CancelAt(Deadline::AfterMillis(60'000.0), "later");
+  EXPECT_FALSE(token.cancelled());
+  EXPECT_EQ(token.reason(), "");
+}
+
+TEST(CancelTokenTest, CancelAtFiresWithItsReasonOnceTheDeadlinePasses) {
+  CancelToken token;
+  const CancelToken copy = token;
+  token.CancelAt(Deadline::AfterMillis(1.0), "grace over");
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(copy.cancelled());
+  EXPECT_EQ(copy.reason(), "grace over");
+}
+
+TEST(CancelTokenTest, EarlierCancelKeepsItsReason) {
+  CancelToken token;
+  token.Cancel("first");
+  token.CancelAt(Deadline::AfterMillis(0.0), "deadline");
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_EQ(token.reason(), "first");
+}
+
+TEST(CancelTokenTest, SecondCancelAtDoesNotMoveTheFirstDeadline) {
+  CancelToken late;
+  late.CancelAt(Deadline::AfterMillis(60'000.0), "first");
+  late.CancelAt(Deadline::AfterMillis(0.0), "second");
+  EXPECT_FALSE(late.cancelled());
+
+  CancelToken early;
+  early.CancelAt(Deadline::AfterMillis(0.0), "first");
+  early.CancelAt(Deadline::AfterMillis(60'000.0), "second");
+  EXPECT_TRUE(early.cancelled());
+  EXPECT_EQ(early.reason(), "first");
+}
+
 TEST(ExecContextTest, UnconstrainedContextAlwaysContinues) {
   const ExecContext ctx;
   EXPECT_FALSE(ctx.stop_requested());

@@ -521,6 +521,39 @@ TEST(IsolatedBatchTest, WorkersReportWhatTheInProcessPathReports) {
   EXPECT_TRUE(NoChildProcesses());
 }
 
+// timeout-ms is one wall-clock budget from pickup on every path: a request
+// whose budget runs out before its count fails DEADLINE_EXCEEDED in-process
+// and on a worker alike. The messages name where the clock ran out, so only
+// the outcome and the code are compared.
+TEST(IsolatedBatchTest, DeadlineFailsTheSameWayOnEveryPath) {
+  FailPointRegistry::Instance().Reset();
+  std::vector<BatchRequest> requests;
+  for (int i = 1; i <= 20; ++i) {
+    BatchRequest request = GenBatchRequest(std::to_string(i) + ":deadline");
+    request.source = "gen:er:nodes=300,edges=1500,seed=1";
+    request.params = {{"nodes", "300"}, {"edges", "1500"}, {"seed", "1"}};
+    request.timeout_ms = 0.001;
+    requests.push_back(request);
+  }
+  BatchServiceOptions isolated;
+  isolated.isolate = 1;
+  isolated.worker_binary = Binary();
+  for (const BatchServiceOptions& options :
+       {BatchServiceOptions{}, isolated}) {
+    const std::vector<RequestReport> reports = RunBatch(options, requests);
+    ASSERT_EQ(reports.size(), requests.size());
+    for (const RequestReport& report : reports) {
+      EXPECT_EQ(report.outcome, RequestOutcome::kFailed)
+          << "isolate=" << options.isolate << " " << report.id << ": "
+          << report.status.ToString();
+      EXPECT_EQ(report.status.code(), StatusCode::kDeadlineExceeded)
+          << "isolate=" << options.isolate << " " << report.id << ": "
+          << report.status.ToString();
+    }
+  }
+  EXPECT_TRUE(NoChildProcesses());
+}
+
 TEST(IsolatedBatchTest, OpenWorkerBreakerFailsOverToTheInProcessCpuCounter) {
   FailPointRegistry::Instance().Reset();
   BatchServiceOptions options;

@@ -51,19 +51,6 @@ TEST(FitLineTest, NoisyLineHasReasonableR2) {
   EXPECT_GT(fit.r_squared, 0.99);
 }
 
-TEST(HistogramTest, ClampsOutOfRange) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(-100.0);
-  h.Add(100.0);
-  h.Add(5.0);
-  EXPECT_EQ(h.bucket_count(0), 1);
-  EXPECT_EQ(h.bucket_count(4), 1);
-  EXPECT_EQ(h.bucket_count(2), 1);
-  EXPECT_EQ(h.total(), 3);
-  EXPECT_DOUBLE_EQ(h.BucketLo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.BucketLo(4), 8.0);
-}
-
 TEST(PearsonTest, PerfectCorrelation) {
   EXPECT_NEAR(PearsonCorrelation({1, 2, 3}, {2, 4, 6}), 1.0, 1e-12);
   EXPECT_NEAR(PearsonCorrelation({1, 2, 3}, {6, 4, 2}), -1.0, 1e-12);

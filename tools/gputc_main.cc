@@ -603,6 +603,17 @@ int CmdCount(const FlagParser& flags) {
     root = tracer.StartSpan("gputc.count", trace_id);
   }
 
+  ExecutionPolicy policy;
+  // --timeout-ms budgets the whole command, the input load included.
+  policy.deadline = Deadline::FromTimeoutMs(service.request_timeout_ms);
+  policy.max_model_ms = *max_model_ms;
+  policy.mem_budget_bytes = service.mem_budget_bytes;
+  if (tracing) {
+    policy.tracer = &tracer;
+    policy.trace_id = trace_id;
+    policy.parent_span = root.id();
+  }
+
   Span load_span =
       tracing ? tracer.StartSpan("load", trace_id, root.id()) : Span();
   const StatusOr<Graph> g = LoadAny(flags, flags.GetBool("strict", false));
@@ -625,16 +636,6 @@ int CmdCount(const FlagParser& flags) {
   const TieredPrepCache prep_cache =
       MakeTieredPrepCache(service.prep_cache_dir, service.prep_cache_mb);
   options.prep_cache = prep_cache.cache.get();
-
-  ExecutionPolicy policy;
-  policy.timeout_ms = service.request_timeout_ms;
-  policy.max_model_ms = *max_model_ms;
-  policy.mem_budget_bytes = service.mem_budget_bytes;
-  if (tracing) {
-    policy.tracer = &tracer;
-    policy.trace_id = trace_id;
-    policy.parent_span = root.id();
-  }
 
   ExecutionTrace trace;
   const StatusOr<ExecutionResult> executed =
@@ -845,6 +846,9 @@ int CmdWorker(const FlagParser& flags) {
       std::cerr << "worker: " << wire.status().ToString() << "\n";
       return kExitRuntime;
     }
+    // The clock starts on arrival with what was left of the request's budget
+    // at dispatch; 0 means no deadline.
+    const Deadline deadline = Deadline::FromTimeoutMs(wire->request.timeout_ms);
 
     RequestReport report;
     // Everything in the request block runs with fail points evaluable: the
@@ -889,7 +893,7 @@ int CmdWorker(const FlagParser& flags) {
         ExecutionPolicy policy;
         // The worker self-enforces the deadline; the supervisor's SIGKILL
         // (deadline + grace) is only the backstop for a wedged executor.
-        policy.timeout_ms = request.timeout_ms;
+        policy.deadline = deadline;
         policy.on_stage = send_beat;
         // The supervisor judges ok vs degraded against the service's chain,
         // so no primary stage is needed here.
