@@ -64,6 +64,19 @@ WorkerRequest GenRequest(const std::string& id) {
   return wire;
 }
 
+/// An R-MAT request whose generation alone outlasts 150 ms while its worker
+/// keeps beating: only a kill stops it early.
+WorkerRequest SlowRequest(const std::string& id) {
+  WorkerRequest wire;
+  wire.request.id = id;
+  wire.request.source = "gen:rmat:scale=17,edge-factor=16,seed=1";
+  wire.request.kind = BatchRequest::Kind::kGenerate;
+  wire.request.target = "rmat";
+  wire.request.params = {{"scale", "17"}, {"edge-factor", "16"}, {"seed", "1"}};
+  wire.request.fallback = "Hu";
+  return wire;
+}
+
 SupervisorOptions FastOptions() {
   SupervisorOptions options;
   options.binary = Binary();
@@ -351,6 +364,58 @@ TEST(SupervisorTest, WatchdogKillsAHungWorker) {
   EXPECT_NE(hung.status().message().find("worker hung"), std::string::npos)
       << hung.status().ToString();
   EXPECT_EQ(RestartCount("hang"), hangs_before + 1);
+
+  supervisor.Shutdown();
+  EXPECT_TRUE(NoChildProcesses());
+}
+
+// A worker still loading its graph polls no deadline, so only the kill at
+// deadline + grace ends the request.
+TEST(SupervisorTest, DeadlineKillsAWorkerStillLoading) {
+  const int64_t deadlines_before = RestartCount("deadline");
+  Supervisor supervisor(FastOptions());
+  ASSERT_TRUE(supervisor.Start().ok());
+
+  RequestReport report;
+  const StatusOr<WorkerDispatch> killed = supervisor.Execute(
+      SlowRequest("1:gen:rmat"), Deadline::AfterMillis(50), &report);
+  ASSERT_FALSE(killed.ok());
+  EXPECT_EQ(killed.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(killed.status().message().find("request deadline expired"),
+            std::string::npos)
+      << killed.status().ToString();
+  EXPECT_EQ(RestartCount("deadline"), deadlines_before + 1);
+
+  supervisor.Shutdown();
+  EXPECT_TRUE(NoChildProcesses());
+}
+
+TEST(SupervisorTest, DrainGraceKillsABusyWorker) {
+  const int64_t drains_before = RestartCount("drain");
+  Supervisor supervisor(FastOptions());
+  ASSERT_TRUE(supervisor.Start().ok());
+
+  RequestReport report;
+  StatusOr<WorkerDispatch> killed = InternalError("not run");
+  std::thread dispatch([&] {
+    killed = supervisor.Execute(SlowRequest("1:gen:rmat"),
+                                Deadline::Infinite(), &report);
+  });
+  // A live worker is a leased one: the slot turns busy as it spawns.
+  for (int waited_ms = 0; supervisor.ActiveWorkers() < 1 && waited_ms < 10000;
+       waited_ms += 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(supervisor.ActiveWorkers(), 1);
+  supervisor.RequestDrain(Deadline::AfterMillis(50));
+  dispatch.join();
+
+  ASSERT_FALSE(killed.ok());
+  EXPECT_EQ(killed.status().code(), StatusCode::kCancelled);
+  EXPECT_NE(killed.status().message().find("drain grace expired"),
+            std::string::npos)
+      << killed.status().ToString();
+  EXPECT_EQ(RestartCount("drain"), drains_before + 1);
 
   supervisor.Shutdown();
   EXPECT_TRUE(NoChildProcesses());
