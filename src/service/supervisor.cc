@@ -19,16 +19,13 @@ namespace {
 constexpr char kBreakerOpenMessage[] =
     "worker circuit breaker open; backend benched";
 
-/// Slack past a request's deadline before the watchdog SIGKILLs: the worker
-/// self-enforces the deadline through its executor, so the kill only fires
-/// when that cooperative path is itself wedged.
+/// Slack past a request's deadline before its dispatch thread SIGKILLs the
+/// worker: the worker self-enforces the deadline through its executor, so
+/// the kill only fires when that cooperative path is itself wedged.
 constexpr double kDeadlineGraceMs = 100.0;
 
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// Missed heartbeats after which a silent worker counts as hung, not slow.
+constexpr int kHeartbeatMisses = 3;
 
 void RecordRestart(WorkerFailure reason) {
   MetricsRegistry::Global()
@@ -83,15 +80,9 @@ struct Supervisor::Slot {
   State state = State::kDead;
   std::unique_ptr<WorkerProcess> proc;
 
-  // Busy bookkeeping (guarded by Impl::mu).
-  Deadline hard_deadline;   // Request deadline + grace; watchdog backstop.
-  double last_beat_ms = 0;  // Last frame (any type) from this worker.
-  bool killed_by_watchdog = false;
-  WorkerFailure kill_reason = WorkerFailure::kCrash;
-
   // Restart bookkeeping.
   int consecutive_crashes = 0;
-  double next_spawn_ms = 0;  // Earliest respawn (steady ms); backoff gate.
+  Deadline respawn_at = Deadline::AfterMillis(0);  // Backoff gate.
   uint64_t jitter_state = 0;
 };
 
@@ -108,8 +99,6 @@ struct Supervisor::Impl {
   bool started = false;
   bool stopping = false;
 
-  std::thread watchdog;
-
   double BackoffMs(Slot* slot) {
     double backoff = options.backoff_base_ms;
     for (int i = 1; i < slot->consecutive_crashes; ++i) {
@@ -124,10 +113,9 @@ struct Supervisor::Impl {
   }
 
   /// Marks a busy/idle worker dead and reaps it. Caller holds `mu` and has
-  /// already ensured the process is dead or dying (SIGKILL sent or EOF
-  /// seen). Returns the waitpid status (0 when unavailable). Restart
-  /// accounting (metric, breaker) stays with the caller, which knows the
-  /// final classification.
+  /// already sent the process SIGKILL. Returns the waitpid status (0 when
+  /// unavailable). Restart accounting (metric, breaker) stays with the
+  /// caller, which knows the final classification.
   int ReapLocked(Slot* slot) {
     int wait_status = 0;
     if (slot->proc != nullptr) {
@@ -141,43 +129,15 @@ struct Supervisor::Impl {
     }
     slot->state = Slot::State::kDead;
     slot->consecutive_crashes += 1;
-    slot->next_spawn_ms = NowMs() + BackoffMs(slot);
+    slot->respawn_at = Deadline::AfterMillis(BackoffMs(slot));
     cv.notify_all();
     return wait_status;
   }
 
-  void WatchdogLoop() {
-    std::unique_lock<std::mutex> lock(mu);
-    while (!stopping) {
-      cv.wait_for(lock, std::chrono::duration<double, std::milli>(
-                            options.watchdog_period_ms));
-      if (stopping) break;
-      const double now = NowMs();
-      const double stale_ms =
-          options.heartbeat_interval_ms * options.heartbeat_misses;
-      for (Slot& slot : slots) {
-        if (slot.state != Slot::State::kBusy || slot.killed_by_watchdog ||
-            slot.proc == nullptr) {
-          continue;
-        }
-        WorkerFailure reason;
-        if (draining && drain_deadline.expired()) {
-          reason = WorkerFailure::kDrain;
-        } else if (slot.hard_deadline.expired()) {
-          reason = WorkerFailure::kDeadline;
-        } else if (now - slot.last_beat_ms > stale_ms) {
-          reason = WorkerFailure::kHang;
-        } else {
-          continue;
-        }
-        // Flag first, kill second: the dispatch thread blocked on this
-        // worker's pipe observes EOF only after the SIGKILL, so it always
-        // sees the reason.
-        slot.killed_by_watchdog = true;
-        slot.kill_reason = reason;
-        slot.proc->Kill();
-      }
-    }
+  /// The drain grace, read under `mu`; infinite until a drain begins.
+  Deadline DrainDeadline() {
+    std::lock_guard<std::mutex> lock(mu);
+    return drain_deadline;
   }
 
   /// Leases a slot for one request: an idle worker if one exists, else a
@@ -197,15 +157,14 @@ struct Supervisor::Impl {
       // Prefer a warm worker.
       for (Slot& slot : slots) {
         if (slot.state == Slot::State::kIdle && slot.proc != nullptr) {
-          LeaseLocked(&slot, deadline);
+          slot.state = Slot::State::kBusy;
           return &slot;
         }
       }
       // Else respawn a dead slot whose backoff has passed.
-      const double now = NowMs();
       Slot* spawnable = nullptr;
       for (Slot& slot : slots) {
-        if (slot.state == Slot::State::kDead && now >= slot.next_spawn_ms) {
+        if (slot.state == Slot::State::kDead && slot.respawn_at.expired()) {
           spawnable = &slot;
           break;
         }
@@ -215,14 +174,13 @@ struct Supervisor::Impl {
         lock.unlock();
         WorkerSpawnOptions spawn;
         spawn.binary = options.binary;
-        spawn.heartbeat_interval_ms = options.heartbeat_interval_ms;
         spawn.rlimit_as_bytes = options.rlimit_as_bytes;
         StatusOr<WorkerProcess> proc = WorkerProcess::Spawn(spawn);
         lock.lock();
         if (!proc.ok()) {
           spawnable->state = Slot::State::kDead;
           spawnable->consecutive_crashes += 1;
-          spawnable->next_spawn_ms = NowMs() + BackoffMs(spawnable);
+          spawnable->respawn_at = Deadline::AfterMillis(BackoffMs(spawnable));
           cv.notify_all();
           last_spawn_error = proc.status();
           if (++spawn_failures >= 3) {
@@ -244,31 +202,24 @@ struct Supervisor::Impl {
         spawnable->proc =
             std::make_unique<WorkerProcess>(*std::move(proc));
         ActiveGauge().Add(1.0);
-        LeaseLocked(spawnable, deadline);
+        spawnable->state = Slot::State::kBusy;
         return spawnable;
       }
-      // Nothing available: wait for an idle worker, an expired backoff, or
-      // the deadline — whichever is soonest.
-      double wait_ms = options.watchdog_period_ms;
+      // Nothing available: wait for a slot to change (every change notifies
+      // `cv`), the next respawn or the deadline, whichever comes first.
+      Deadline wake = deadline;
       for (const Slot& slot : slots) {
         if (slot.state == Slot::State::kDead) {
-          wait_ms = std::min(wait_ms, std::max(1.0, slot.next_spawn_ms - now));
+          wake = Deadline::Earlier(wake, slot.respawn_at);
         }
       }
-      wait_ms = std::min(wait_ms, std::max(1.0, deadline.remaining_millis()));
-      cv.wait_for(lock, std::chrono::duration<double, std::milli>(wait_ms));
+      if (wake.is_infinite()) {
+        cv.wait(lock);
+      } else {
+        cv.wait_for(lock, std::chrono::duration<double, std::milli>(
+                              std::max(1.0, wake.remaining_millis())));
+      }
     }
-  }
-
-  void LeaseLocked(Slot* slot, Deadline deadline) {
-    slot->state = Slot::State::kBusy;
-    slot->hard_deadline =
-        deadline.is_infinite()
-            ? (draining ? drain_deadline : Deadline::Infinite())
-            : Deadline::AfterMillis(deadline.remaining_millis() +
-                                    kDeadlineGraceMs);
-    slot->last_beat_ms = NowMs();
-    slot->killed_by_watchdog = false;
   }
 
   /// Returns a leased worker to the pool after a clean result.
@@ -286,13 +237,14 @@ struct Supervisor::Impl {
     cv.notify_all();
   }
 
-  /// Classifies and accounts a worker death observed by its dispatch
-  /// thread. Returns the error Execute reports for the in-flight request.
-  Status HandleDeath(Slot* slot, const Status& read_error) {
+  /// Reaps and accounts a worker its dispatch thread has SIGKILLed for
+  /// `reason`, whether or not it had died first; a kCrash by SIGABRT under
+  /// the rlimit counts as kRlimit. Returns the error Execute reports for
+  /// the in-flight request.
+  Status HandleDeath(Slot* slot, WorkerFailure reason,
+                     const Status& read_error) {
     std::lock_guard<std::mutex> lock(mu);
     const int pid = slot->proc != nullptr ? slot->proc->pid() : 0;
-    WorkerFailure reason = slot->killed_by_watchdog ? slot->kill_reason
-                                                    : WorkerFailure::kCrash;
     const int wait_status = ReapLocked(slot);
     std::string death;
     if (WIFSIGNALED(wait_status)) {
@@ -371,7 +323,6 @@ Status Supervisor::Start() {
   // surface as EPIPE on the write, not kill the whole service.
   ::signal(SIGPIPE, SIG_IGN);
   impl_->started = true;
-  impl_->watchdog = std::thread([this] { impl_->WatchdogLoop(); });
   return OkStatus();
 }
 
@@ -409,7 +360,8 @@ StatusOr<WorkerDispatch> Supervisor::Execute(WorkerRequest request,
                                : std::max(1e-3, deadline.remaining_millis());
     const Status sent = slot->proc->SendRequest(request);
     if (!sent.ok()) {
-      const Status death = impl.HandleDeath(slot, sent);
+      slot->proc->Kill();
+      const Status death = impl.HandleDeath(slot, WorkerFailure::kCrash, sent);
       if (sent.code() == StatusCode::kFailedPrecondition &&
           send_attempt == 0) {
         // The breaker grant was resolved by HandleDeath; take a new one for
@@ -424,74 +376,56 @@ StatusOr<WorkerDispatch> Supervisor::Execute(WorkerRequest request,
                                "' failed before dispatch");
     }
 
-    // Pump frames until the result. Heartbeats refresh the watchdog clock;
-    // the hard read deadline (request deadline + 2x grace) only fires if
-    // the watchdog itself is wedged.
-    Deadline read_deadline =
+    // Pump frames until the result. This thread is the worker's only
+    // watchdog: each wait for a frame ends by the earliest of the request
+    // deadline plus grace, the drain grace and three missed beats. A wait
+    // that ends without one kills the worker, named by the drain grace as
+    // read after the wait, then the request deadline, then silence (hang).
+    const Deadline kill_at =
         deadline.is_infinite()
             ? Deadline::Infinite()
             : Deadline::AfterMillis(deadline.remaining_millis() +
-                                    2.0 * kDeadlineGraceMs);
+                                    kDeadlineGraceMs);
     for (;;) {
-      StatusOr<WireFrame> frame =
-          ReadFrameWithDeadline(slot->proc->response_fd(), read_deadline);
-      if (!frame.ok()) {
-        if (frame.status().code() == StatusCode::kDeadlineExceeded) {
-          // Watchdog missed it (or is configured off): kill here, then
-          // classify through the same death path.
-          {
-            std::lock_guard<std::mutex> lock(impl.mu);
-            if (!slot->killed_by_watchdog) {
-              slot->killed_by_watchdog = true;
-              slot->kill_reason = WorkerFailure::kDeadline;
-            }
-            slot->proc->Kill();
-          }
-          // Drain the pipe to EOF so classification sees the final state.
-          Status death = impl.HandleDeath(
-              slot, DeadlineExceededError("no result before the deadline"));
-          return death.WithContext("request '" + request.request.id + "'");
+      const Deadline beats_due =
+          Deadline::AfterMillis(kHeartbeatMisses * kHeartbeatIntervalMs);
+      StatusOr<WireFrame> frame = ReadFrame(
+          slot->proc->response_fd(),
+          Deadline::Earlier(Deadline::Earlier(kill_at, beats_due),
+                            impl.DrainDeadline()));
+      if (frame.ok() && frame->type == kFrameHeartbeat) continue;
+      // EOF (FailedPrecondition) or a torn frame (DataLoss) means the worker
+      // died mid-request. A torn result frame is a *crash*, not data loss —
+      // nothing of the partial frame is trusted or surfaced.
+      WorkerFailure reason = WorkerFailure::kCrash;
+      Status failure = frame.status();
+      if (frame.ok()) {
+        failure = frame->type == kFrameResult
+                      ? DecodeWorkerResult(frame->body, report)
+                      : InternalError(std::string("unexpected frame type '") +
+                                      frame->type + "'");
+        if (failure.ok()) {
+          const WorkerDispatch dispatch{pid, slot->index};
+          impl.Release(slot);
+          // A clean protocol round-trip is worker health, whatever the
+          // request-level status says: an injected per-request fault must
+          // not bench the pool.
+          impl.FeedBreaker(/*success=*/true, /*attributable=*/true);
+          return dispatch;
         }
-        // EOF (FailedPrecondition) or a torn frame (DataLoss): the worker
-        // died mid-request. A torn result frame is a *crash*, not data
-        // loss — nothing of the partial frame is trusted or surfaced.
-        Status death = impl.HandleDeath(slot, frame.status());
-        return death.WithContext("request '" + request.request.id + "'");
-      }
-      if (frame->type == kFrameHeartbeat) {
-        std::lock_guard<std::mutex> lock(impl.mu);
-        slot->last_beat_ms = NowMs();
-        continue;
-      }
-      if (frame->type != kFrameResult) {
-        {
-          std::lock_guard<std::mutex> lock(impl.mu);
-          slot->proc->Kill();
-        }
-        Status death = impl.HandleDeath(
-            slot, InternalError(std::string("unexpected frame type '") +
-                                frame->type + "'"));
-        return death.WithContext("request '" + request.request.id + "'");
-      }
-      const Status decoded = DecodeWorkerResult(frame->body, report);
-      if (!decoded.ok()) {
         // A frame that passed its checksum but does not decode means the
-        // two ends disagree about the protocol — kill and classify as a
-        // crash rather than trusting anything further from this worker.
-        {
-          std::lock_guard<std::mutex> lock(impl.mu);
-          slot->proc->Kill();
-        }
-        Status death = impl.HandleDeath(slot, decoded);
-        return death.WithContext("request '" + request.request.id + "'");
+        // two ends disagree about the protocol: a crash, and nothing further
+        // from this worker is trusted.
+      } else if (failure.code() == StatusCode::kDeadlineExceeded) {
+        reason = impl.DrainDeadline().expired() ? WorkerFailure::kDrain
+                 : kill_at.expired()            ? WorkerFailure::kDeadline
+                                                : WorkerFailure::kHang;
       }
-      const WorkerDispatch dispatch{pid, slot->index};
-      impl.Release(slot);
-      // A clean protocol round-trip is worker health, whatever the
-      // request-level status says: an injected per-request fault must not
-      // bench the pool.
-      impl.FeedBreaker(/*success=*/true, /*attributable=*/true);
-      return dispatch;
+      // Killing a worker that already died changes nothing: its pid stays
+      // ours until HandleDeath reaps it.
+      slot->proc->Kill();
+      return impl.HandleDeath(slot, reason, failure)
+          .WithContext("request '" + request.request.id + "'");
     }
   }
 }
@@ -508,25 +442,18 @@ void Supervisor::RequestDrain(Deadline grace) {
       slot.proc->Kill();
       impl.ReapLocked(&slot);
     }
-    // Busy workers: the watchdog enforces `grace`, and Release/HandleDeath
-    // reap them when their dispatch resolves.
-    if (slot.state == Slot::State::kBusy && !slot.hard_deadline.expired()) {
-      slot.hard_deadline = Deadline::Earlier(slot.hard_deadline, grace);
-    }
+    // A busy worker's dispatch thread reads `grace` before its next wait,
+    // and Release or HandleDeath reaps the worker when its dispatch ends.
   }
   impl.cv.notify_all();
 }
 
 void Supervisor::Shutdown() {
   Impl& impl = *impl_;
-  {
-    std::lock_guard<std::mutex> lock(impl.mu);
-    if (impl.stopping) return;
-    impl.stopping = true;
-    impl.cv.notify_all();
-  }
-  if (impl.watchdog.joinable()) impl.watchdog.join();
   std::lock_guard<std::mutex> lock(impl.mu);
+  if (impl.stopping) return;
+  impl.stopping = true;
+  impl.cv.notify_all();
   for (Slot& slot : impl.slots) {
     if (slot.proc != nullptr) {
       slot.proc->Kill();

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "service/circuit_breaker.h"
@@ -20,9 +19,10 @@ namespace gputc {
 //   * dispatch — Execute() leases an idle worker (lazily spawning or
 //     respawning one), sends the request, and pumps heartbeat frames until
 //     the result arrives;
-//   * watchdog — a scanner thread SIGKILLs workers that blow past their
-//     request deadline, stop heartbeating (3 missed beats = hung, not
-//     slow), or outlive a drain grace period;
+//   * kill — the same dispatch thread SIGKILLs its worker once the request
+//     deadline plus grace passes, the heartbeats stop (3 missed beats =
+//     hung, not slow), or a drain grace period ends with it still running.
+//     The supervisor starts no thread of its own;
 //   * restart — a dead worker's slot respawns lazily with exponential
 //     backoff plus jitter, so a crash-looping binary cannot peg a CPU
 //     fork-bombing;
@@ -46,10 +46,10 @@ namespace gputc {
 /// How a worker left the busy state abnormally.
 enum class WorkerFailure {
   kCrash,     // Died on its own (signal or exit) while holding a request.
-  kHang,      // Watchdog kill: heartbeats stopped flowing.
+  kHang,      // Killed: heartbeats stopped flowing.
   kRlimit,    // Died to the RLIMIT_AS cap (abort on failed allocation).
-  kDeadline,  // Watchdog kill: request deadline (plus grace) expired.
-  kDrain,     // Watchdog kill: drain grace expired with the request running.
+  kDeadline,  // Killed: request deadline (plus grace) expired.
+  kDrain,     // Killed: drain grace expired with the request running.
 };
 
 /// Stable lower-case name ("crash", "hang", "rlimit", "deadline", "drain").
@@ -62,16 +62,10 @@ struct SupervisorOptions {
   int workers = 1;
   /// Per-worker RLIMIT_AS; 0 = unlimited. See WorkerSpawnOptions.
   int64_t rlimit_as_bytes = 0;
-  /// Heartbeat cadence workers are spawned with.
-  double heartbeat_interval_ms = 25.0;
-  /// Consecutive missed beats before the watchdog declares a hang.
-  int heartbeat_misses = 3;
   /// Restart backoff: base * 2^(consecutive crashes - 1), capped, ±25%
   /// jitter.
   double backoff_base_ms = 50.0;
   double backoff_cap_ms = 2000.0;
-  /// Watchdog scan period.
-  double watchdog_period_ms = 10.0;
   /// Crash-loop breaker (not owned; optional). The supervisor is its sole
   /// client for the "worker" backend: Allow() gates every Execute, clean
   /// results record success, crash/hang/rlimit record failure, and
@@ -94,7 +88,8 @@ class Supervisor {
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// Starts the watchdog. Workers spawn lazily on first dispatch.
+  /// Checks the options and ignores SIGPIPE, so a worker dying mid-send is
+  /// an EPIPE. Starts no thread; workers spawn lazily on first dispatch.
   Status Start();
 
   /// Runs one request on a worker, blocking until the result, a worker
@@ -102,8 +97,10 @@ class Supervisor {
   /// execution fields (a frame that will not decode kills the worker like a
   /// crash). What is left of `deadline` when the request is sent replaces
   /// its timeout-ms on the wire (0 = none): the worker's executor enforces
-  /// that, and the watchdog's kill is the backstop. Thread-safe; each
-  /// concurrent caller leases its own worker.
+  /// that, and this thread's kill 100 ms past it is the backstop. The same
+  /// thread kills a worker whose heartbeats stop or whose drain grace ends.
+  /// Thread-safe; each concurrent caller leases its own worker, waiting for
+  /// one to come free when all are busy.
   /// Failure mapping:
   ///   - breaker open           -> ResourceExhausted (IsWorkerBreakerOpen)
   ///   - crash / hang / rlimit  -> Internal, naming pid and cause; that one
@@ -116,12 +113,14 @@ class Supervisor {
                                    RequestReport* report);
 
   /// Begins draining: new Execute calls fail Cancelled, idle workers are
-  /// killed and reaped immediately, and busy workers get until
-  /// `grace` before the watchdog kills them too.
+  /// killed and reaped immediately, and a busy worker gets until `grace`
+  /// before its dispatch thread kills it too. That thread reads `grace`
+  /// before each wait for a frame, so it sees a drain within one heartbeat
+  /// interval of a beating worker.
   void RequestDrain(Deadline grace);
 
-  /// Kills and reaps every remaining worker and joins the watchdog.
-  /// Idempotent; the destructor calls it.
+  /// Kills and reaps every remaining worker. Idempotent; the destructor
+  /// calls it.
   void Shutdown();
 
   /// Live (spawned, un-reaped) workers — the value behind the

@@ -2,7 +2,6 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <string.h>
 #include <sys/resource.h>
@@ -170,10 +169,10 @@ Status WriteFrame(int fd, char type, std::string_view body) {
   return WriteAllFd(fd, frame.data(), frame.size());
 }
 
-StatusOr<WireFrame> ReadFrame(int fd) {
+StatusOr<WireFrame> ReadFrame(int fd, Deadline deadline) {
   char header[kFrameHeaderBytes];
   GPUTC_ASSIGN_OR_RETURN(const size_t header_read,
-                         ReadFullFd(fd, header, sizeof(header)));
+                         ReadFullFd(fd, header, sizeof(header), deadline));
   if (header_read == 0) {
     return FailedPreconditionError("pipe closed at a frame boundary");
   }
@@ -186,7 +185,7 @@ StatusOr<WireFrame> ReadFrame(int fd) {
   const uint32_t payload_len = frame_header.length;
   std::string payload(payload_len, '\0');
   GPUTC_ASSIGN_OR_RETURN(const size_t payload_read,
-                         ReadFullFd(fd, &payload[0], payload_len));
+                         ReadFullFd(fd, &payload[0], payload_len, deadline));
   if (payload_read < payload_len) {
     return DataLossError("torn frame: EOF after " +
                          std::to_string(payload_read) + " of " +
@@ -199,30 +198,6 @@ StatusOr<WireFrame> ReadFrame(int fd) {
   frame.type = payload[0];
   frame.body = payload.substr(1);
   return frame;
-}
-
-StatusOr<WireFrame> ReadFrameWithDeadline(int fd, Deadline deadline,
-                                          int poll_slice_ms) {
-  // Poll for the first byte under the deadline; once a frame has started
-  // arriving, read it to completion (a peer that starts a frame and then
-  // wedges is the watchdog's problem — SIGKILL turns the stall into an EOF
-  // and this read into a DataLoss).
-  for (;;) {
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const double remaining = deadline.remaining_millis();
-    if (remaining <= 0.0) {
-      return DeadlineExceededError("no frame before the deadline");
-    }
-    int wait_ms = poll_slice_ms;
-    if (remaining < wait_ms) wait_ms = remaining < 1.0 ? 1 : static_cast<int>(remaining);
-    GPUTC_ASSIGN_OR_RETURN(const int ready, PollRetry(&pfd, 1, wait_ms));
-    if (ready == 0) continue;
-    // POLLHUP with no POLLIN still reads as EOF below; let ReadFrame decide.
-    return ReadFrame(fd);
-  }
 }
 
 std::string EncodeWorkerRequest(const WorkerRequest& wire) {
@@ -412,9 +387,6 @@ StatusOr<WorkerProcess> WorkerProcess::Spawn(
   // Everything the child needs is materialized before fork: between fork and
   // exec only async-signal-safe calls are allowed (the parent is
   // multithreaded, so the child's heap/locks are in an arbitrary state).
-  char interval_buf[64];
-  std::snprintf(interval_buf, sizeof(interval_buf),
-                "--heartbeat-interval-ms=%.17g", options.heartbeat_interval_ms);
   std::string request_fd_flag =
       "--request-fd=" + std::to_string(kChildRequestFd);
   std::string response_fd_flag =
@@ -423,7 +395,7 @@ StatusOr<WorkerProcess> WorkerProcess::Spawn(
                         const_cast<char*>("worker"),
                         const_cast<char*>(request_fd_flag.c_str()),
                         const_cast<char*>(response_fd_flag.c_str()),
-                        interval_buf, nullptr};
+                        nullptr};
 #ifndef GPUTC_SANITIZER_BUILD
   const int64_t rlimit_bytes = options.rlimit_as_bytes;
 #else

@@ -22,9 +22,9 @@ namespace gputc {
 //
 //   'Q'  request   (supervisor -> worker)  body = EncodeWorkerRequest
 //   'H'  heartbeat (worker -> supervisor)  body = stage label ("tick",
-//        "validate", "Hu/base", ...) — emitted on a timer and per executor
-//        stage, so the supervisor can tell slow (beats flowing) from hung
-//        (beats stopped)
+//        "validate", "Hu/base", ...) — emitted every kHeartbeatIntervalMs
+//        and per executor stage, so the supervisor can tell slow (beats
+//        flowing) from hung (beats stopped)
 //   'R'  result    (worker -> supervisor)  body = EncodeWorkerResult
 //
 // One counting request per dispatch: the worker stays alive between
@@ -34,6 +34,10 @@ namespace gputc {
 inline constexpr char kFrameRequest = 'Q';
 inline constexpr char kFrameHeartbeat = 'H';
 inline constexpr char kFrameResult = 'R';
+
+/// How often a busy worker sends its "tick" heartbeat. The supervisor reads
+/// the same constant to tell a slow worker from a hung one.
+inline constexpr double kHeartbeatIntervalMs = 25.0;
 
 /// One decoded frame.
 struct WireFrame {
@@ -47,15 +51,11 @@ struct WireFrame {
 /// genuinely torn frame on the pipe for the supervisor to classify.
 Status WriteFrame(int fd, char type, std::string_view body);
 
-/// Blocking read of one frame. FailedPrecondition on a clean EOF at a frame
-/// boundary, DataLoss on a torn or checksum-failing frame (the peer died
-/// mid-write, or wrote garbage).
-StatusOr<WireFrame> ReadFrame(int fd);
-
-/// Reads one frame, polling until `deadline` (DeadlineExceeded on expiry).
-/// `poll_slice_ms` bounds the latency of noticing the deadline.
-StatusOr<WireFrame> ReadFrameWithDeadline(int fd, Deadline deadline,
-                                          int poll_slice_ms = 10);
+/// Reads one frame, header and payload, by `deadline`. FailedPrecondition on
+/// a clean EOF at a frame boundary, DataLoss on a torn or checksum-failing
+/// frame (the peer died mid-write, or wrote garbage), DeadlineExceeded when
+/// the frame has not fully arrived by `deadline`.
+StatusOr<WireFrame> ReadFrame(int fd, Deadline deadline = Deadline::Infinite());
 
 /// Everything a worker needs to execute one request, serializable onto the
 /// wire: the request with its timeout and fallback chain already resolved
@@ -85,8 +85,6 @@ Status DecodeWorkerResult(std::string_view body, RequestReport* report);
 struct WorkerSpawnOptions {
   /// Absolute path of the gputc binary to exec.
   std::string binary;
-  /// Heartbeat cadence the worker is told to beat at.
-  double heartbeat_interval_ms = 25.0;
   /// When > 0, the child calls setrlimit(RLIMIT_AS, this) before exec, so a
   /// worker that over-allocates dies alone instead of OOMing the service.
   /// Ignored in sanitizer builds (ASan's shadow reservation needs unlimited

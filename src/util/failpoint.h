@@ -37,7 +37,7 @@ namespace gputc {
 //   worker pool     worker.spawn (supervisor side, before fork),
 //                   worker.exec (child side: exec a missing binary),
 //                   worker.hang (worker side: stop heartbeating and sleep
-//                   forever instead of failing — exercises the watchdog),
+//                   forever instead of failing — exercises the hang kill),
 //                   worker.response.torn (worker side: crash between the two
 //                   halves of a result frame, leaving a torn frame the
 //                   supervisor must classify as a crash)

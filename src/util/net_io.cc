@@ -10,6 +10,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 namespace gputc {
@@ -84,9 +86,25 @@ Status WriteAllFd(int fd, const char* data, size_t size) {
   return OkStatus();
 }
 
-StatusOr<size_t> ReadFullFd(int fd, char* data, size_t size) {
+StatusOr<size_t> ReadFullFd(int fd, char* data, size_t size,
+                            Deadline deadline) {
   size_t done = 0;
   while (done < size) {
+    if (!deadline.is_infinite()) {
+      // Whole milliseconds, rounded up, so a poll that times out has
+      // normally reached the deadline; the 10^9 ms cap keeps it an int.
+      struct pollfd pfd = {fd, POLLIN, 0};
+      const double wait_ms =
+          std::ceil(std::clamp(deadline.remaining_millis(), 0.0, 1e9));
+      GPUTC_ASSIGN_OR_RETURN(const int ready,
+                             PollRetry(&pfd, 1, static_cast<int>(wait_ms)));
+      if (ready == 0) {
+        if (!deadline.expired()) continue;
+        return DeadlineExceededError("read timed out after " +
+                                     std::to_string(done) + " of " +
+                                     std::to_string(size) + " byte(s)");
+      }
+    }
     GPUTC_ASSIGN_OR_RETURN(const size_t n,
                            ReadRetry(fd, data + done, size - done));
     if (n == 0) break;  // EOF.

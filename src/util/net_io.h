@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <string>
 
+#include "util/deadline.h"
 #include "util/status.h"
 
 namespace gputc {
@@ -50,8 +51,11 @@ Status WriteAllFd(int fd, const char* data, size_t size);
 
 /// Reads exactly `size` bytes (EINTR- and partial-read-safe). Returns the
 /// byte count actually read: `size` on success, 0 on clean EOF before any
-/// byte, in between when the peer died mid-message. Blocking fds only.
-StatusOr<size_t> ReadFullFd(int fd, char* data, size_t size);
+/// byte, in between when the peer died mid-message. DeadlineExceeded when
+/// `deadline` passes before all `size` bytes arrive, however many did.
+/// Blocking fds only.
+StatusOr<size_t> ReadFullFd(int fd, char* data, size_t size,
+                            Deadline deadline = Deadline::Infinite());
 
 /// accept(2), retried on EINTR, with O_CLOEXEC on the accepted descriptor.
 /// Returns the new fd, or -1 when a non-blocking listener has nothing

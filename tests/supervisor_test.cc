@@ -25,6 +25,7 @@
 #include "service/worker_process.h"
 #include "tc/cpu_counters.h"
 #include "util/deadline.h"
+#include "util/durable_file.h"
 #include "util/failpoint.h"
 #include "util/status.h"
 
@@ -81,11 +82,8 @@ SupervisorOptions FastOptions() {
   SupervisorOptions options;
   options.binary = Binary();
   options.workers = 1;
-  options.heartbeat_interval_ms = 20.0;
-  options.heartbeat_misses = 3;
   options.backoff_base_ms = 5.0;
   options.backoff_cap_ms = 50.0;
-  options.watchdog_period_ms = 5.0;
   return options;
 }
 
@@ -235,9 +233,22 @@ TEST(WorkerFrameTest, ChecksumMismatchIsDataLoss) {
 TEST(WorkerFrameTest, ReadWithDeadlineTimesOutOnASilentPipe) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
-  EXPECT_EQ(ReadFrameWithDeadline(fds[0], Deadline::AfterMillis(30), 5)
-                .status()
-                .code(),
+  EXPECT_EQ(ReadFrame(fds[0], Deadline::AfterMillis(30)).status().code(),
+            StatusCode::kDeadlineExceeded);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(WorkerFrameTest, ReadTimesOutOnAFrameThatStopsMidway) {
+  // A writer that wedges mid-frame, its pipe still open: the deadline bounds
+  // the payload as well as the header.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const std::string frame = EncodeFrame(std::string(1, kFrameResult) + "body");
+  const size_t partial = frame.size() - 4;
+  ASSERT_EQ(::write(fds[1], frame.data(), partial),
+            static_cast<ssize_t>(partial));
+  EXPECT_EQ(ReadFrame(fds[0], Deadline::AfterMillis(30)).status().code(),
             StatusCode::kDeadlineExceeded);
   ::close(fds[0]);
   ::close(fds[1]);
@@ -349,7 +360,7 @@ TEST(SupervisorTest, TornResultFrameIsClassifiedAsACrashNotDataLoss) {
   EXPECT_TRUE(NoChildProcesses());
 }
 
-TEST(SupervisorTest, WatchdogKillsAHungWorker) {
+TEST(SupervisorTest, SilentWorkerIsKilledAsHung) {
   const int64_t hangs_before = RestartCount("hang");
   Supervisor supervisor(FastOptions());
   ASSERT_TRUE(supervisor.Start().ok());
@@ -486,6 +497,36 @@ TEST(SupervisorTest, CleanResultWithRequestLevelErrorDoesNotTripBreaker) {
   ASSERT_TRUE(dispatched.ok()) << dispatched.status().ToString();
   EXPECT_FALSE(report.status.ok());
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+
+  supervisor.Shutdown();
+  EXPECT_TRUE(NoChildProcesses());
+}
+
+// Two dispatches on a one-slot pool: the second waits for the first to
+// release the worker and then reuses it.
+TEST(SupervisorTest, SecondRequestWaitsForTheBusyWorker) {
+  Supervisor supervisor(FastOptions());
+  ASSERT_TRUE(supervisor.Start().ok());
+
+  RequestReport reports[2];
+  StatusOr<WorkerDispatch> dispatched[2] = {InternalError("not run"),
+                                            InternalError("not run")};
+  std::vector<std::thread> callers;
+  for (int i = 0; i < 2; ++i) {
+    callers.emplace_back([&, i] {
+      dispatched[i] =
+          supervisor.Execute(GenRequest(std::to_string(i + 1) + ":gen:er"),
+                             Deadline::Infinite(), &reports[i]);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(dispatched[i].ok()) << dispatched[i].status().ToString();
+    EXPECT_GT(reports[i].triangles, 0);
+  }
+  EXPECT_EQ(dispatched[0]->pid, dispatched[1]->pid);
+  EXPECT_EQ(supervisor.ActiveWorkers(), 1);
 
   supervisor.Shutdown();
   EXPECT_TRUE(NoChildProcesses());

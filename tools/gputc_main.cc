@@ -799,9 +799,6 @@ int CmdCache(const FlagParser& flags) {
 int CmdWorker(const FlagParser& flags) {
   const int request_fd = static_cast<int>(flags.GetInt("request-fd", 3));
   const int response_fd = static_cast<int>(flags.GetInt("response-fd", 4));
-  const auto beat_interval_ms =
-      ParseNumericFlag(flags, "heartbeat-interval-ms", 25.0);
-  if (!beat_interval_ms.has_value()) return kExitUsage;
 
   // The supervisor may vanish (service killed) while this worker writes; an
   // EPIPE error, then the EOF on the next read, is the graceful exit path —
@@ -862,7 +859,7 @@ int CmdWorker(const FlagParser& flags) {
         armed = FailPointRegistry::Instance().ArmFromString(request.failpoints);
       }
       // Armed "worker.hang" simulates a wedged worker: heartbeats stop and
-      // nothing further happens until the supervisor's watchdog SIGKILLs.
+      // nothing further happens until the supervisor SIGKILLs it as hung.
       // (Checked before the beat thread starts, so the silence is total.)
       if (armed.ok() && !CheckFailPoint("worker.hang").ok()) {
         for (;;) {
@@ -875,7 +872,7 @@ int CmdWorker(const FlagParser& flags) {
         while (busy.load(std::memory_order_acquire)) {
           send_beat("tick");
           std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-              *beat_interval_ms));
+              kHeartbeatIntervalMs));
         }
       });
 
