@@ -1,6 +1,5 @@
 #include "service/batch_service.h"
 
-#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -135,10 +134,8 @@ void BatchService::Submit(BatchRequest request) {
   }
 }
 
-void BatchService::RequestDrain(std::string reason) {
+void BatchService::RequestDrain(std::string reason, Deadline grace) {
   if (draining_.exchange(true, std::memory_order_acq_rel)) return;
-  const Deadline grace =
-      Deadline::AfterMillis(std::max(0.0, options_.drain_grace_ms));
   // In-flight executions run until the grace period ends; from then on
   // each one's next poll of the token stops it.
   drain_cancel_.CancelAt(grace,

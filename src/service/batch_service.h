@@ -51,10 +51,6 @@ struct BatchServiceOptions {
   /// that runs out fails DEADLINE_EXCEEDED. <= 0 means no deadline. A
   /// manifest line's timeout-ms override takes precedence.
   double request_timeout_ms = 0.0;
-  /// On drain, how long in-flight requests may keep running before the
-  /// service's cancel token fires and each stops at its next poll. <= 0
-  /// cancels immediately.
-  double drain_grace_ms = 1000.0;
   /// Default fallback chain (a manifest line's fallback= override wins).
   std::vector<FallbackStage> chain = {
       FallbackStage{false, TcAlgorithm::kHu}, FallbackStage{true}};
@@ -135,11 +131,13 @@ class BatchService {
   void Submit(BatchRequest request);
 
   /// Graceful drain: stop admitting (queued-but-unstarted work is journaled
-  /// as rejected), let in-flight requests finish within drain_grace_ms, then
-  /// cancel the stragglers: they fail CANCELLED "drain grace period expired
-  /// (<reason>)". Idempotent; callable from any thread, including a
-  /// signal-watcher. Finish() still must be called to join and collect.
-  void RequestDrain(std::string reason);
+  /// as rejected), let in-flight requests finish until `grace`, then cancel
+  /// the stragglers: they fail CANCELLED "drain grace period expired
+  /// (<reason>)". The caller starts the grace clock, so a grace that has
+  /// already passed cancels at once. Idempotent; callable from any thread,
+  /// including a signal-watcher. Finish() still must be called to join and
+  /// collect.
+  void RequestDrain(std::string reason, Deadline grace);
 
   /// Closes intake, runs the queue dry (or drains), joins every thread and
   /// returns the outcome counts. Call once.

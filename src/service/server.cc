@@ -537,13 +537,12 @@ ServerSummary Server::Run() {
       if (!work_pending && !responses_pending && !writes_pending) break;
       if (grace.expired() && !service_drained) {
         // Rung three: the grace window closed; cancel stragglers through
-        // the service's own drain (its cancel token fires when the batch
-        // grace ends and each execution stops at its next poll; queued
-        // entries are journaled as rejected).
+        // the service's own drain under this same, already expired, grace
+        // (each execution stops at its next poll; queued entries are
+        // journaled as rejected), then wait at most 2 s more.
         service_drained = true;
-        service_.RequestDrain(shutdown_reason());
-        final_deadline =
-            Deadline::AfterMillis(options_.batch.drain_grace_ms + 2000.0);
+        service_.RequestDrain(shutdown_reason(), grace);
+        final_deadline = Deadline::AfterMillis(2000.0);
       }
       if (service_drained && final_deadline.expired()) break;
     }

@@ -667,6 +667,47 @@ TEST_F(ServerTest, DrainDeliversInflightResponsesBeforeClosing) {
   EXPECT_TRUE(summary.batch.drained || summary.batch.Total() == 1);
 }
 
+// The grace runs once: a request still running when it ends is cancelled
+// at its next poll, not a second grace later.
+TEST_F(ServerTest, DrainCancelsStragglersWhenTheGraceEnds) {
+  ServerOptions options = BaseOptions();
+  options.drain_grace_ms = 200.0;
+  const ListenSpec listen = options.listen;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  FailPointRegistry::Instance().SetObserver("tc.block", [&](int64_t hit) {
+    if (hit != 1) return;
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+  });
+  StartServer(std::move(options));
+
+  Client client(listen);
+  (void)client.ReadLine();  // hello
+  client.Send(std::string(kSmallGen) + "\n");
+  while (FailPointRegistry::Instance().hits("tc.block") < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server_->RequestShutdown("rollout");
+  // Past the grace, well before twice the grace.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  const std::string response = client.ReadLine();
+  EXPECT_NE(response.find("\"code\":\"CANCELLED\""), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("drain grace period expired (rollout)"),
+            std::string::npos)
+      << response;
+  EXPECT_TRUE(client.WaitForEof());
+  StopServer();
+}
+
 TEST_F(ServerTest, RecoveredRequestResolvesWithoutAConnection) {
   ServerOptions options = BaseOptions();
   StartServer(std::move(options));

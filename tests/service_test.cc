@@ -924,7 +924,6 @@ TEST_F(BatchServiceTest, DrainUnderLoadAccountsForEveryRequest) {
   BatchServiceOptions options;
   options.jobs = 2;
   options.queue_depth = 4;
-  options.drain_grace_ms = 50.0;
   BatchService service(options);
   const ReportLog journal(service);
   service.Start();
@@ -934,7 +933,7 @@ TEST_F(BatchServiceTest, DrainUnderLoadAccountsForEveryRequest) {
   });
   // Let a few requests start, then pull the plug mid-flood.
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  service.RequestDrain("test drain");
+  service.RequestDrain("test drain", Deadline::AfterMillis(50.0));
   producer.join();
   const BatchSummary summary = service.Finish();
   const std::vector<RequestReport> reports = journal.reports();
@@ -968,7 +967,6 @@ TEST_F(BatchServiceTest, DrainGraceCancelsTheRunningRequest) {
 
   BatchServiceOptions options;
   options.jobs = 1;
-  options.drain_grace_ms = 1.0;
   BatchService service(options);
   const ReportLog journal(service);
   service.Start();
@@ -976,7 +974,7 @@ TEST_F(BatchServiceTest, DrainGraceCancelsTheRunningRequest) {
   while (FailPointRegistry::Instance().hits("tc.block") < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  service.RequestDrain("test drain");
+  service.RequestDrain("test drain", Deadline::AfterMillis(1.0));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -1004,7 +1002,6 @@ TEST_F(BatchServiceTest, MetricsSnapshotsStaySafeWhileBatchDrains) {
   BatchServiceOptions options;
   options.jobs = 3;
   options.queue_depth = 8;
-  options.drain_grace_ms = 50.0;
   BatchService service(options);
   const ReportLog journal(service);
   service.Start();
@@ -1033,7 +1030,7 @@ TEST_F(BatchServiceTest, MetricsSnapshotsStaySafeWhileBatchDrains) {
 
   constexpr int kRequests = 16;
   for (int i = 0; i < kRequests; ++i) service.Submit(GenRequest(i));
-  service.RequestDrain("metrics snapshot test");
+  service.RequestDrain("metrics snapshot test", Deadline::AfterMillis(50.0));
   service.Finish();
   const std::vector<RequestReport> reports = journal.reports();
   stop_snapshots.store(true, std::memory_order_release);
@@ -1097,7 +1094,7 @@ TEST_F(BatchServiceTest, DrainBeforeStartRejectsEverything) {
   BatchService service(options);
   const ReportLog journal(service);
   service.Start();
-  service.RequestDrain("pre-drain");
+  service.RequestDrain("pre-drain", Deadline::AfterMillis(1000.0));
   for (int i = 0; i < 3; ++i) service.Submit(GenRequest(i));
   const BatchSummary summary = service.Finish();
   const std::vector<RequestReport> reports = journal.reports();

@@ -454,14 +454,15 @@ struct ServiceFlags {
   bool resume = false;
   StoragePolicy wal_policy = StoragePolicy::kStrict;
   std::string journal = "-";
+  double drain_grace_ms = 1000.0;
 };
 
 /// The one parser of the flags count, batch and serve share. Fills
 /// `options` from --timeout-ms, --mem-budget-mb, --fallback and
 /// --prep-cache[-mb], creating the cache directory up front, and `out` from
 /// --trace-out and --metrics-out. With `pool` (batch and serve) it also
-/// reads --jobs, --queue-depth, --drain-grace-ms (default: the value already
-/// in `options`), --isolate, --wal, --resume, --wal-policy and --journal.
+/// reads --jobs, --queue-depth, --isolate, --wal, --resume, --wal-policy,
+/// --journal and --drain-grace-ms (default: the value already in `out`).
 /// Returns kExitOk or the exit code of a problem it reported on stderr.
 int ParseServiceFlags(const FlagParser& flags, bool pool,
                       BatchServiceOptions* options, ServiceFlags* out) {
@@ -502,7 +503,7 @@ int ParseServiceFlags(const FlagParser& flags, bool pool,
     const auto jobs = ParseNumericFlag(flags, "jobs", 4.0);
     const auto queue_depth = ParseNumericFlag(flags, "queue-depth", 16.0);
     const auto drain_grace_ms =
-        ParseNumericFlag(flags, "drain-grace-ms", options->drain_grace_ms);
+        ParseNumericFlag(flags, "drain-grace-ms", out->drain_grace_ms);
     if (!jobs || !queue_depth || !drain_grace_ms) return kExitUsage;
     if (*jobs < 1.0 || *jobs > 256.0 || *queue_depth < 1.0) {
       std::cerr << "--jobs must be in [1, 256] and --queue-depth >= 1\n";
@@ -510,7 +511,7 @@ int ParseServiceFlags(const FlagParser& flags, bool pool,
     }
     options->jobs = static_cast<int>(*jobs);
     options->queue_depth = static_cast<size_t>(*queue_depth);
-    options->drain_grace_ms = *drain_grace_ms;
+    out->drain_grace_ms = *drain_grace_ms;
     if (flags.Has("isolate")) {
       // Bare --isolate: the pool size follows --jobs.
       const auto isolate = flags.GetString("isolate", "") == "true"
@@ -1095,8 +1096,8 @@ int CmdBatch(const FlagParser& flags) {
   BatchSummary summary;
   {
     // With --isolate the drain also reaps every live worker subprocess.
-    DrainWatcher watcher(journal, [&service](const std::string& reason) {
-      service.RequestDrain(reason);
+    DrainWatcher watcher(journal, [&](const std::string& reason) {
+      service.RequestDrain(reason, Deadline::AfterMillis(svc.drain_grace_ms));
     });
     service.Start();
     for (BatchRequest& request : *manifest) {
@@ -1180,14 +1181,14 @@ int CmdServe(const FlagParser& flags) {
   ServerOptions options;
   options.listen = *listen;
   // serve drains with a longer default grace than batch.
-  options.batch.drain_grace_ms = options.drain_grace_ms;
   ServiceFlags svc;
+  svc.drain_grace_ms = options.drain_grace_ms;
   if (const int rc =
           ParseServiceFlags(flags, /*pool=*/true, &options.batch, &svc);
       rc != kExitOk) {
     return rc;
   }
-  options.drain_grace_ms = options.batch.drain_grace_ms;
+  options.drain_grace_ms = svc.drain_grace_ms;
 
   const auto max_connections =
       ParseNumericFlag(flags, "max-connections", 64.0);
