@@ -4,10 +4,13 @@
 
 #include "direction/direction.h"
 #include "graph/datasets.h"
+#include "graph/edge_list.h"
 #include "graph/generators.h"
+#include "order/calibration.h"
 #include "tc/cpu_counters.h"
 #include "tc/fox.h"
 #include "tc/registry.h"
+#include "util/durable_file.h"
 
 namespace gputc {
 namespace {
@@ -145,6 +148,73 @@ TEST(FoxEdgeOrderTest, OrdersThatAreNotPermutationsAreRejected) {
   EXPECT_EQ(
       fox.TryCountWithEdgeOrder(d, spec, order, ExecContext{}).status().code(),
       StatusCode::kInvalidArgument);
+}
+
+/// CRC32C of the bit pattern of every KernelStats field, in declaration
+/// order.
+uint32_t KernelStatsCrc(const KernelStats& k) {
+  uint32_t crc = 0;
+  const auto fold = [&crc](const auto& field) {
+    crc = Crc32c(&field, sizeof(field), crc);
+  };
+  fold(k.cycles);
+  fold(k.millis);
+  fold(k.num_blocks);
+  fold(k.supersteps);
+  fold(k.total_ops);
+  fold(k.total_transactions);
+  fold(k.total_shared_transactions);
+  fold(k.compute_cycles);
+  fold(k.memory_cycles);
+  fold(k.shared_cycles);
+  fold(k.sync_cycles);
+  fold(k.sm_utilization);
+  return crc;
+}
+
+// Fox's edge A-order itself, not only the kernel it prices: per graph, the
+// CRC32C of AOrderedEdgeOrder's output (A-direction, calibrated model) and
+// of the KernelStats TryCountWithEdgeOrder reports for it. The order is what
+// perfbench's staged path rebuilds and compares, so a change to how it is
+// binned or packed must reproduce it entry for entry.
+TEST(FoxEdgeOrderTest, EdgeOrderAndItsKernelStatsArePinned) {
+  struct Pinned {
+    const char* name;
+    Graph graph;
+    uint32_t order_crc;
+    uint32_t stats_crc;
+  };
+  const Pinned pinned[] = {
+      {"rmat-14", GenerateRmat(14, 16, 5), 0x6aebb71f, 0xcb0ff0d5},
+      {"ws-65536", GenerateWattsStrogatz(1 << 16, 8, 0.1, 6), 0x486fcbab,
+       0x4ec9bd99},
+      {"power-law", GeneratePowerLawConfiguration(300, 2.3, 2, 40, 11),
+       0x77553b69, 0x786b7740},
+      {"uniform", GenerateErdosRenyi(200, 800, 12), 0xb6e8b894, 0x679d804a},
+      {"star", StarGraph(300), 0x6ab1b917, 0x4186d973},
+      {"path", PathGraph(1000), 0xba9b59ed, 0x8bb6e008},
+      {"empty", Graph::FromEdgeList(EdgeList(0)), 0x00000000, 0x51f204ab},
+  };
+  const DeviceSpec spec = DeviceSpec::TitanXpLike();
+  const ResourceModel model = CalibratedResourceModel(spec);
+  const FoxCounter fox;
+  for (const Pinned& p : pinned) {
+    const DirectedGraph d = Orient(p.graph, DirectionStrategy::kADirection);
+    const std::vector<int64_t> order = fox.AOrderedEdgeOrder(d, model, spec);
+    ASSERT_EQ(static_cast<int64_t>(order.size()), d.num_edges()) << p.name;
+    const StatusOr<TcResult> counted =
+        fox.TryCountWithEdgeOrder(d, spec, order, ExecContext{});
+    ASSERT_TRUE(counted.ok()) << p.name << ": " << counted.status().ToString();
+    EXPECT_EQ(counted->triangles, CountTrianglesNodeIterator(p.graph))
+        << p.name;
+    const uint32_t order_crc =
+        Crc32c(order.data(), order.size() * sizeof(int64_t));
+    EXPECT_EQ(order_crc, p.order_crc)
+        << p.name << ": edge order CRC32C is 0x" << std::hex << order_crc;
+    const uint32_t stats_crc = KernelStatsCrc(counted->kernel);
+    EXPECT_EQ(stats_crc, p.stats_crc)
+        << p.name << ": KernelStats CRC32C is 0x" << std::hex << stats_crc;
+  }
 }
 
 TEST(GunrockVariantsTest, BothStrategiesAgreeOnCount) {
