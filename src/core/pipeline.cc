@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "order/calibration.h"
 #include "sim/profiler.h"
 #include "tc/fox.h"
 #include "util/logging.h"
@@ -43,60 +42,26 @@ StatusOr<RunResult> RunTriangleCountWithContext(const Graph& g,
                                                 const PreprocessOptions& options,
                                                 const ExecContext& ctx) {
   RunResult result;
-  if (algorithm == TcAlgorithm::kFox &&
-      options.ordering == OrderingStrategy::kAOrder) {
-    // Fox reorders edges, not vertices: orient and keep vertex ids, then
-    // hand the kernel an A-ordered arc sequence.
-    PreprocessOptions vertex_options = options;
-    vertex_options.ordering = OrderingStrategy::kOriginal;
-    GPUTC_ASSIGN_OR_RETURN(result.preprocess,
-                           TryPreprocess(g, spec, vertex_options, ctx));
-
-    ResourceModel model = ResourceModel::Default();
-    if (options.calibrate) {
-      GPUTC_ASSIGN_OR_RETURN(model, TryCalibratedResourceModel(spec));
-    }
-    Timer edge_timer;
-    const FoxCounter fox_for_order;
-    std::vector<int64_t> edge_order;
-    {
-      Span order_span = StartSpan(ctx, "order");
-      order_span.SetAttr("strategy", "A-order(edges)");
-      edge_order =
-          fox_for_order.AOrderedEdgeOrder(result.preprocess.graph, model, spec);
-      order_span.SetAttr("arcs", static_cast<int64_t>(edge_order.size()));
-    }
-    GPUTC_RETURN_IF_ERROR(ctx.CheckContinue("pipeline.edge_order"));
-    result.preprocess.ordering_ms = edge_timer.ElapsedMillis();
-    result.preprocess.total_ms =
-        result.preprocess.direction_ms + result.preprocess.ordering_ms;
-
-    Timer count_timer;
-    Span count_span = StartSpan(ctx, "count");
-    count_span.SetAttr("algorithm", ToString(algorithm));
-    GPUTC_ASSIGN_OR_RETURN(
-        const TcResult tc,
-        fox_for_order.TryCountWithEdgeOrder(result.preprocess.graph, spec,
-                                            edge_order,
-                                            WithSpan(ctx, count_span)));
-    result.triangles = tc.triangles;
-    result.kernel = tc.kernel;
-    count_span.SetAttr("triangles", result.triangles);
-    AnnotateSpanWithKernel(count_span, result.kernel);
-    count_span.Finish();
-    RecordCountStage(algorithm, count_timer.ElapsedMillis());
-    return result;
-  }
-
+  // Fox reorders arcs, not vertices (Section 6.4): under A-order its
+  // preprocessing keeps vertex ids and builds the edge order the kernel runs.
+  const bool edge_order =
+      algorithm == TcAlgorithm::kFox &&
+      (options.ordering == OrderingStrategy::kAOrder ||
+       options.ordering == OrderingStrategy::kAOrderEdges);
+  PreprocessOptions prep_options = options;
+  if (edge_order) prep_options.ordering = OrderingStrategy::kAOrderEdges;
   GPUTC_ASSIGN_OR_RETURN(result.preprocess,
-                         TryPreprocess(g, spec, options, ctx));
+                         TryPreprocess(g, spec, prep_options, ctx));
   Timer count_timer;
   Span count_span = StartSpan(ctx, "count");
   count_span.SetAttr("algorithm", ToString(algorithm));
+  const ExecContext count_ctx = WithSpan(ctx, count_span);
+  const DirectedGraph& counted = result.preprocess.graph;
   GPUTC_ASSIGN_OR_RETURN(
       const TcResult tc,
-      MakeCounter(algorithm)->TryCount(result.preprocess.graph, spec,
-                                       WithSpan(ctx, count_span)));
+      edge_order ? FoxCounter().TryCountWithBinnedOrder(
+                       counted, spec, result.preprocess.edge_order, count_ctx)
+                 : MakeCounter(algorithm)->TryCount(counted, spec, count_ctx));
   result.triangles = tc.triangles;
   result.kernel = tc.kernel;
   count_span.SetAttr("triangles", result.triangles);

@@ -29,8 +29,9 @@ struct RunResult {
 
 /// Preprocesses `g` per `options` and counts triangles with `algorithm` on
 /// the device `spec`. For Fox (edge reorder unit), an ordering of kAOrder is
-/// applied to *edges* (FoxCounter::AOrderedEdgeOrder) instead of relabeling
-/// vertices, matching Section 6.4.
+/// applied to *edges* instead of relabeling vertices, matching Section 6.4:
+/// Fox preprocesses under kAOrderEdges, whose edge order the prep cache
+/// keeps with the counted CSR, and counts in that order.
 RunResult RunTriangleCount(const Graph& g, TcAlgorithm algorithm,
                            const DeviceSpec& spec,
                            const PreprocessOptions& options = {});

@@ -1,5 +1,6 @@
 #include "core/prep_cache.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -125,23 +126,26 @@ int64_t PrepArtifact::ByteSize() const {
   return static_cast<int64_t>(offsets.size() * sizeof(EdgeCount) +
                               adj.size() * sizeof(VertexId) +
                               vertex_perm.size() * sizeof(VertexId) +
+                              edge_order.size() * sizeof(int64_t) +
                               sizeof(PrepArtifact));
 }
 
 std::string EncodePrepArtifact(const PrepArtifact& artifact) {
   std::string out;
-  out.reserve(sizeof(kArtifactMagic) + 3 * sizeof(uint64_t) +
+  out.reserve(sizeof(kArtifactMagic) + 4 * sizeof(uint64_t) +
               3 * sizeof(double) + static_cast<size_t>(artifact.ByteSize()));
   out.append(kArtifactMagic, sizeof(kArtifactMagic));
   AppendScalar<uint64_t>(&out, artifact.offsets.size());
   AppendScalar<uint64_t>(&out, artifact.adj.size());
   AppendScalar<uint64_t>(&out, artifact.vertex_perm.size());
+  AppendScalar<uint64_t>(&out, artifact.edge_order.size());
   AppendScalar<double>(&out, artifact.lambda);
   AppendScalar<double>(&out, artifact.direction_cost);
   AppendScalar<double>(&out, artifact.ordering_cost);
   AppendRaw(&out, artifact.offsets);
   AppendRaw(&out, artifact.adj);
   AppendRaw(&out, artifact.vertex_perm);
+  AppendRaw(&out, artifact.edge_order);
   return out;
 }
 
@@ -156,6 +160,7 @@ StatusOr<PrepArtifact> DecodePrepArtifact(std::string_view bytes) {
   const uint64_t n_offsets = reader.Scalar<uint64_t>();
   const uint64_t n_adj = reader.Scalar<uint64_t>();
   const uint64_t n_perm = reader.Scalar<uint64_t>();
+  const uint64_t n_edge_order = reader.Scalar<uint64_t>();
   PrepArtifact artifact;
   artifact.lambda = reader.Scalar<double>();
   artifact.direction_cost = reader.Scalar<double>();
@@ -163,16 +168,25 @@ StatusOr<PrepArtifact> DecodePrepArtifact(std::string_view bytes) {
   artifact.offsets = reader.Array<EdgeCount>(n_offsets);
   artifact.adj = reader.Array<VertexId>(n_adj);
   artifact.vertex_perm = reader.Array<VertexId>(n_perm);
+  artifact.edge_order = reader.Array<int64_t>(n_edge_order);
   if (!reader.ok || reader.left != 0) {
     return InvalidArgumentError(
         "DecodePrepArtifact: truncated or oversized artifact body");
   }
   // Shape sanity: the CSR must be internally consistent (n+1 offsets ending
-  // at |adj|, one permutation slot per vertex). A CRC-clean file of the
-  // wrong shape is still a foreign artifact.
+  // at |adj|, one permutation slot per vertex), and an edge order names
+  // every arc once by index. A CRC-clean file of the wrong shape is still a
+  // foreign artifact.
+  const bool edge_order_fits =
+      (n_edge_order == 0 || n_edge_order == n_adj) &&
+      std::all_of(artifact.edge_order.begin(), artifact.edge_order.end(),
+                  [n_adj](int64_t arc) {
+                    return static_cast<uint64_t>(arc) < n_adj;
+                  });
   if (n_offsets == 0 || n_perm != n_offsets - 1 ||
       artifact.offsets.front() != 0 ||
-      artifact.offsets.back() != static_cast<EdgeCount>(n_adj)) {
+      artifact.offsets.back() != static_cast<EdgeCount>(n_adj) ||
+      !edge_order_fits) {
     return InvalidArgumentError(
         "DecodePrepArtifact: inconsistent artifact sections");
   }

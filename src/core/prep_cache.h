@@ -51,16 +51,16 @@ namespace gputc {
 /// Bump when the artifact contents or the fingerprint inputs change shape:
 /// old cache entries (tier 1 and tier 2) become unreachable instead of being
 /// misinterpreted.
-inline constexpr int kPrepCacheSchemaVersion = 2;
+inline constexpr int kPrepCacheSchemaVersion = 3;
 
 /// Tier-1 byte budget used when a caller enables the cache without sizing it
 /// (`--prep-cache DIR` with no `--prep-cache-mb`).
 inline constexpr int64_t kDefaultPrepCacheBytes = int64_t{256} << 20;
 
 /// Everything preprocessing produces that is worth reusing: the oriented +
-/// relabeled CSR the counters consume, the vertex permutation, the model's
-/// lambda, and the cost diagnostics. Deliberately *excludes* timings — those
-/// describe one run, not the artifact.
+/// relabeled CSR the counters consume, the vertex permutation, Fox's edge
+/// order, the model's lambda, and the cost diagnostics. Deliberately
+/// *excludes* timings — those describe one run, not the artifact.
 struct PrepArtifact {
   /// CSR of the preprocessed DirectedGraph (post-orientation,
   /// post-relabeling) — DirectedGraph::FromParts(offsets, adj) rebuilds it
@@ -69,6 +69,9 @@ struct PrepArtifact {
   std::vector<VertexId> adj;
   /// old id -> new id mapping the relabeling applied.
   Permutation vertex_perm;
+  /// Fox's edge order under OrderingStrategy::kAOrderEdges (one entry per
+  /// arc, each below the arc count); empty under every other ordering.
+  std::vector<int64_t> edge_order;
   double lambda = 0.0;          // The resource model's lambda.
   double direction_cost = 0.0;  // Eq. 1 of the cached orientation.
   double ordering_cost = 0.0;   // Eq. 3 of the cached ordering.
@@ -82,7 +85,10 @@ struct PrepArtifact {
 /// tier-2 store protects the bytes with CRC framing, not portability.
 std::string EncodePrepArtifact(const PrepArtifact& artifact);
 
-/// InvalidArgument on a foreign or truncated buffer, never a partial
+/// InvalidArgument on a foreign or truncated buffer, or on sections of the
+/// wrong shape (offsets that do not frame the adjacency, a permutation not
+/// sized to the vertices, an edge order neither empty nor one entry per arc,
+/// or an edge-order entry not below the arc count); never a partial
 /// artifact.
 StatusOr<PrepArtifact> DecodePrepArtifact(std::string_view bytes);
 
@@ -217,7 +223,7 @@ class PrepCache {
 };
 
 /// Rebuilds a PreprocessResult from a cached artifact: FromParts + the
-/// stored permutation, lambda and costs. Deterministic and allocation-only,
+/// stored permutation, edge order, lambda and costs. Deterministic and allocation-only,
 /// so a cache hit's result is byte-identical to the compute that produced
 /// the artifact. Timings report the rebuild, not the original compute.
 StatusOr<PreprocessResult> MaterializePreprocess(const PrepArtifact& artifact,

@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "order/calibration.h"
+#include "tc/fox.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -100,6 +101,7 @@ StatusOr<PreprocessResult> PreprocessUncached(const Graph& g,
       Timer build_timer;
       result.graph = DirectedGraph::FromRankAndPermutation(
           g, rank, std::move(out_degrees), result.vertex_perm);
+      rank = std::vector<VertexId>();  // Spent: release it before Fox's bins.
       result.ordering_ms += build_timer.ElapsedMillis();
       const DirectedGraph& built = result.graph;
       build_span.SetAttr("arcs", built.num_edges());
@@ -107,6 +109,15 @@ StatusOr<PreprocessResult> PreprocessUncached(const Graph& g,
           "bytes", static_cast<int64_t>(
                        built.offsets().size() * sizeof(EdgeCount) +
                        built.adjacency().size() * sizeof(VertexId)));
+    }
+    if (options.ordering == OrderingStrategy::kAOrderEdges) {
+      // Fox reorders arcs, not vertices (Section 6.4): A-order packs each of
+      // its work bins of the counted CSR.
+      Timer edge_timer;
+      GPUTC_ASSIGN_OR_RETURN(result.edge_order,
+                             FoxCounter().TryAOrderedEdgeOrder(
+                                 result.graph, model, spec, order_ctx));
+      result.ordering_ms += edge_timer.ElapsedMillis();
     }
     order_span.SetAttr("cost_eq3", result.ordering_cost);
     order_span.SetAttr("ms", result.ordering_ms);
@@ -147,6 +158,7 @@ StatusOr<PrepArtifact> ComputePrepArtifact(const Graph& g,
   artifact.offsets = result.graph.offsets();
   artifact.adj = result.graph.adjacency();
   artifact.vertex_perm = std::move(result.vertex_perm);
+  artifact.edge_order = std::move(result.edge_order);
   artifact.lambda = result.lambda;
   artifact.direction_cost = result.direction_cost;
   artifact.ordering_cost = result.ordering_cost;
@@ -160,6 +172,7 @@ StatusOr<PreprocessResult> MaterializePreprocess(const PrepArtifact& artifact,
   PreprocessResult result;
   result.graph = DirectedGraph::FromParts(artifact.offsets, artifact.adj);
   result.vertex_perm = artifact.vertex_perm;
+  result.edge_order = artifact.edge_order;
   result.lambda = artifact.lambda;
   result.direction_cost = artifact.direction_cost;
   result.ordering_cost = artifact.ordering_cost;

@@ -2,6 +2,7 @@
 #define GPUTC_CORE_PREPROCESS_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "direction/direction.h"
 #include "graph/directed_graph.h"
@@ -48,9 +49,15 @@ struct PreprocessResult {
   DirectedGraph graph;
   /// old id -> new id mapping applied to the vertices.
   Permutation vertex_perm;
+  /// Under OrderingStrategy::kAOrderEdges, Fox's A-ordered arc sequence for
+  /// `graph` (FoxCounter::TryAOrderedEdgeOrder); empty under every other
+  /// ordering.
+  std::vector<int64_t> edge_order;
 
   double direction_ms = 0.0;  // Host time of the directing step.
-  double ordering_ms = 0.0;   // Host time of the ordering step.
+  /// Host time of the ordering step: the permutation, the counted CSR's
+  /// build and, under kAOrderEdges, the edge order.
+  double ordering_ms = 0.0;
   double total_ms = 0.0;      // Sum, i.e. the paper's "preprocessing time".
 
   double direction_cost = 0.0;  // Eq. 1 of the produced orientation.
@@ -64,8 +71,9 @@ PreprocessResult Preprocess(const Graph& g, const DeviceSpec& spec,
 
 /// Preprocess under an execution envelope: calibration goes through the
 /// "sim.memory" fail point, "preprocess" injects at entry, and A-order's
-/// bucket packing polls `ctx`. A deadline expiry or cancellation observed
-/// anywhere inside surfaces as the corresponding Status.
+/// bucket packing (of vertices, or of each of Fox's arc bins) polls `ctx`.
+/// A deadline expiry or cancellation observed anywhere inside surfaces as
+/// the corresponding Status.
 StatusOr<PreprocessResult> TryPreprocess(const Graph& g,
                                          const DeviceSpec& spec,
                                          const PreprocessOptions& options,

@@ -154,7 +154,7 @@ class LevelPacker {
 
 }  // namespace
 
-AOrderResult AOrder(const std::vector<EdgeCount>& out_degrees,
+AOrderResult AOrder(std::span<const EdgeCount> out_degrees,
                     const ResourceModel& model,
                     const AOrderOptions& options) {
   GPUTC_CHECK_GT(options.bucket_size, 0);

@@ -1,6 +1,7 @@
 #ifndef GPUTC_ORDER_AORDER_H_
 #define GPUTC_ORDER_AORDER_H_
 
+#include <span>
 #include <vector>
 
 #include "graph/permutation.h"
@@ -64,7 +65,7 @@ struct AOrderResult {
 ///
 /// `out_degrees[v]` is d~(v) in the directed graph the counting kernel will
 /// consume; every entry must be non-negative.
-AOrderResult AOrder(const std::vector<EdgeCount>& out_degrees,
+AOrderResult AOrder(std::span<const EdgeCount> out_degrees,
                     const ResourceModel& model, const AOrderOptions& options = {});
 
 }  // namespace gputc

@@ -27,6 +27,8 @@ std::string ToString(OrderingStrategy strategy) {
       return "RCM";
     case OrderingStrategy::kRandom:
       return "random";
+    case OrderingStrategy::kAOrderEdges:
+      return "A-order(edges)";
   }
   return "unknown";
 }
@@ -41,6 +43,7 @@ Permutation ComputeOrdering(const Graph& undirected,
                  out_degrees.size());
   switch (strategy) {
     case OrderingStrategy::kOriginal:
+    case OrderingStrategy::kAOrderEdges:
       return IdentityPermutation(undirected.num_vertices());
     case OrderingStrategy::kDegree:
       return DegreeOrder(undirected);

@@ -25,10 +25,16 @@ enum class OrderingStrategy {
   kBfs,        // Plain BFS discovery order (locality baseline).
   kRcm,        // Reverse Cuthill-McKee (bandwidth-minimizing baseline).
   kRandom,     // Uniform random (ablation).
+  /// Fox's preprocessing (Section 6.4): vertex ids are kept, as under
+  /// kOriginal, and A-order is applied to the arcs instead
+  /// (PreprocessResult::edge_order). Internal: the pipeline picks it for
+  /// Fox under kAOrder; `gputc count --ordering` does not offer it.
+  kAOrderEdges,
 };
 
 /// Human-readable name matching the paper's tables ("Origin", "D-order",
-/// "A-order", "DFS", "BFS-R", "SlashBurn", "GRO", "random").
+/// "A-order", "DFS", "BFS-R", "SlashBurn", "GRO", "random"), and
+/// "A-order(edges)" for kAOrderEdges.
 std::string ToString(OrderingStrategy strategy);
 
 /// Computes the permutation (old id -> new id) for `strategy`.
@@ -37,7 +43,7 @@ std::string ToString(OrderingStrategy strategy);
 /// vertices' out-degrees under the orientation the kernel will count, and
 /// feed A-order's intensity functions (other strategies ignore them).
 /// `model` supplies F_c / F_m / lambda for A-order. `seed` only affects
-/// kRandom.
+/// kRandom. kAOrderEdges relabels nothing: its permutation is the identity.
 Permutation ComputeOrdering(const Graph& undirected,
                             const std::vector<EdgeCount>& out_degrees,
                             OrderingStrategy strategy,

@@ -65,7 +65,7 @@ double ResourceModel::BandwidthAt(EdgeCount out_degree) const {
 }
 
 std::vector<DegreeIntensity> IntensitiesByDegree(
-    const std::vector<EdgeCount>& degrees, const ResourceModel& model) {
+    std::span<const EdgeCount> degrees, const ResourceModel& model) {
   EdgeCount min_degree = 0;
   EdgeCount max_degree = 0;
   for (const EdgeCount d : degrees) {

@@ -2,6 +2,7 @@
 #define GPUTC_ORDER_RESOURCE_MODEL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/permutation.h"
@@ -74,7 +75,7 @@ struct DegreeIntensity {
 /// degree, so per-vertex loops that read this table get the doubles a
 /// per-vertex model call would return. Degrees must be non-negative.
 std::vector<DegreeIntensity> IntensitiesByDegree(
-    const std::vector<EdgeCount>& degrees, const ResourceModel& model);
+    std::span<const EdgeCount> degrees, const ResourceModel& model);
 
 /// Per-bucket totals of the optimization objective (Eq. 2).
 struct BucketCost {

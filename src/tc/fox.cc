@@ -1,30 +1,48 @@
 #include "tc/fox.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <numeric>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "obs/trace.h"
 #include "order/aorder.h"
 #include "tc/block_skeleton.h"
 #include "tc/cost_rules.h"
+#include "util/failpoint.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace gputc {
 namespace {
 
 /// Bins whose arcs stream at least this many keys run one warp per arc.
 constexpr int64_t kWarpThreshold = 128;
-constexpr int kMaxBins = 48;
+constexpr size_t kMaxBins = 48;
 
-int RadixBin(int64_t work) {
-  int bin = 0;
-  while (work > 1) {
-    work >>= 1;
-    ++bin;
-  }
-  return bin;
+/// The span, fail point and poll site of the edge-order build.
+constexpr std::string_view kEdgeOrderSite = "aorder.edges";
+
+/// Bin b of an order that runs bin by bin is its positions
+/// [bounds[b], bounds[b + 1]).
+using BinBounds = std::array<int64_t, kMaxBins + 1>;
+
+/// The log-radix bin of arc `pos`, by its work *volume* (keys streamed,
+/// d~(v) + 1) — the quantity the adaptive granularity needs — while the
+/// searched-list length d~(u), which sets an arc's compute/memory character,
+/// still varies freely inside a bin. That residual diversity is exactly
+/// what an edge reordering can balance across blocks (Section 6.4 / Figure
+/// 15).
+size_t ArcBin(const DirectedGraph& g, int64_t pos) {
+  const auto volume = static_cast<uint64_t>(
+      g.out_degree(g.adjacency()[static_cast<size_t>(pos)]) + 1);
+  return std::min<size_t>(kMaxBins - 1, std::bit_width(volume) - 1);
 }
 
 /// One granularity per bin, a pure function of the bin's radix level (every
@@ -34,28 +52,87 @@ bool WarpPerArc(size_t bin) {
   return (int64_t{1} << std::min<size_t>(bin, 62)) >= kWarpThreshold;
 }
 
-size_t TasksPerBlock(size_t bin, const DeviceSpec& spec) {
-  return static_cast<size_t>(WarpPerArc(bin) ? spec.warps_per_block
-                                             : spec.threads_per_block());
+int64_t TasksPerBlock(size_t bin, const DeviceSpec& spec) {
+  return WarpPerArc(bin) ? spec.warps_per_block : spec.threads_per_block();
 }
 
-/// Stable log-radix binning of the arcs (CSR indices) in `order`. Arcs are
-/// binned by their work *volume* (keys streamed, d~(v)) — the quantity the
-/// adaptive granularity needs — while the searched-list length d~(u), which
-/// sets an arc's compute/memory character, still varies freely inside a
-/// bin. That residual diversity is exactly what an edge reordering can
-/// balance across blocks (Section 6.4 / Figure 15). An order that is not a
-/// permutation of the arcs is InvalidArgument.
-StatusOr<std::vector<std::vector<int64_t>>> RadixBins(
-    const DirectedGraph& g, const std::vector<int64_t>& order) {
+// An arc index and a searched-list length share one type, so a bin's spent
+// search lengths can hold its arcs (TryAOrderedEdgeOrder).
+static_assert(std::is_same_v<EdgeCount, int64_t>);
+
+/// Arcs (CSR indices) grouped bin by bin, in their given order within each
+/// bin.
+struct BinnedArcs {
+  std::vector<int64_t> arcs;
+  BinBounds bounds{};
+};
+
+/// Turns per-bin counts (bin-major, range-minor) into each range's first
+/// slot per bin, and fills `bounds`.
+void StartSlots(std::span<std::array<int64_t, kMaxBins>> counts,
+                BinBounds& bounds) {
+  int64_t next = 0;
+  for (size_t b = 0; b < kMaxBins; ++b) {
+    bounds[b] = next;
+    for (std::array<int64_t, kMaxBins>& count : counts) {
+      const int64_t in_range = count[b];
+      count[b] = next;
+      next += in_range;
+    }
+  }
+  bounds[kMaxBins] = next;
+}
+
+/// Stable counting sort of the arcs, in CSR order, into their bins on the
+/// host pool. Each range of source vertices counts its arcs per bin; the
+/// prefix sum over (bin, range) gives each range its slots, and each range
+/// scatters its arcs there, so the result is the sequential scan's. When
+/// `search` is non-null it receives each sorted arc's searched-list length
+/// d~(u), slot for slot.
+BinnedArcs BinCsrArcs(const DirectedGraph& g, std::vector<EdgeCount>* search) {
+  const std::vector<EdgeCount>& offsets = g.offsets();
+  const ParallelSplit split = SplitByArcs(offsets);
+  std::vector<std::array<int64_t, kMaxBins>> slots(
+      static_cast<size_t>(split.tasks()));
+  (void)ParallelFor(split, [&](const ParallelTask& task) {
+    std::array<int64_t, kMaxBins>& count = slots[task.index];
+    count.fill(0);
+    for (int64_t pos = offsets[task.begin]; pos < offsets[task.end]; ++pos) {
+      ++count[ArcBin(g, pos)];
+    }
+    return OkStatus();
+  });
+  BinnedArcs binned;
+  StartSlots(slots, binned.bounds);
+  binned.arcs.resize(static_cast<size_t>(g.num_edges()));
+  if (search != nullptr) search->resize(binned.arcs.size());
+  (void)ParallelFor(split, [&](const ParallelTask& task) {
+    std::array<int64_t, kMaxBins>& next = slots[task.index];
+    for (int64_t u = task.begin; u < task.end; ++u) {
+      const EdgeCount du = offsets[u + 1] - offsets[u];
+      for (int64_t pos = offsets[u]; pos < offsets[u + 1]; ++pos) {
+        const auto at = static_cast<size_t>(next[ArcBin(g, pos)]++);
+        binned.arcs[at] = pos;
+        if (search != nullptr) (*search)[at] = du;
+      }
+    }
+    return OkStatus();
+  });
+  return binned;
+}
+
+/// Stable counting sort of a caller's `order` into the bins. An order that
+/// is not a permutation of the arcs is InvalidArgument.
+StatusOr<BinnedArcs> BinCallerOrder(const DirectedGraph& g,
+                                    const std::vector<int64_t>& order) {
   const int64_t arcs = g.num_edges();
   if (static_cast<int64_t>(order.size()) != arcs) {
     return InvalidArgumentError(
         "edge order has " + std::to_string(order.size()) +
         " entries but the graph has " + std::to_string(arcs) + " arcs");
   }
-  std::vector<bool> seen(static_cast<size_t>(arcs));
-  std::vector<std::vector<int64_t>> bins(kMaxBins);
+  std::vector<char> seen(static_cast<size_t>(arcs));
+  std::array<int64_t, kMaxBins> next{};
   for (int64_t pos : order) {
     if (pos < 0 || pos >= arcs) {
       return InvalidArgumentError("edge order entry " + std::to_string(pos) +
@@ -66,59 +143,172 @@ StatusOr<std::vector<std::vector<int64_t>>> RadixBins(
       return InvalidArgumentError("edge order entry " + std::to_string(pos) +
                                   " appears more than once");
     }
-    seen[static_cast<size_t>(pos)] = true;
-    const int64_t volume =
-        g.out_degree(g.adjacency()[static_cast<size_t>(pos)]) + 1;
-    bins[static_cast<size_t>(std::min(kMaxBins - 1, RadixBin(volume)))]
-        .push_back(pos);
+    seen[static_cast<size_t>(pos)] = 1;
+    ++next[ArcBin(g, pos)];
   }
-  return bins;
+  BinnedArcs binned;
+  StartSlots(std::span(&next, 1), binned.bounds);
+  binned.arcs.resize(order.size());
+  for (int64_t pos : order) {
+    binned.arcs[static_cast<size_t>(next[ArcBin(g, pos)]++)] = pos;
+  }
+  return binned;
 }
 
-std::vector<int64_t> CsrOrder(const DirectedGraph& g) {
-  std::vector<int64_t> order(static_cast<size_t>(g.num_edges()));
-  std::iota(order.begin(), order.end(), int64_t{0});
-  return order;
+/// The bin bounds of an order whose arcs already run bin by bin.
+BinBounds BoundsOfBinnedOrder(const DirectedGraph& g,
+                              std::span<const int64_t> order) {
+  BinBounds bounds{};
+  auto begin = order.begin();
+  for (size_t b = 1; b < kMaxBins; ++b) {
+    begin = std::partition_point(begin, order.end(), [&](int64_t pos) {
+      return ArcBin(g, pos) < b;
+    });
+    bounds[b] = begin - order.begin();
+  }
+  bounds[kMaxBins] = static_cast<int64_t>(order.size());
+  return bounds;
+}
+
+/// Prices the kernel over `order`, whose bin b is [bounds[b], bounds[b+1]),
+/// on `skeleton`: each bin's tasks form blocks of TasksPerBlock consecutive
+/// arcs, and the bins' blocks follow one another in bin order.
+StatusOr<KernelStats> PriceBins(BlockSkeleton& skeleton,
+                                const DirectedGraph& g, const DeviceSpec& spec,
+                                std::span<const int64_t> order,
+                                const BinBounds& bounds) {
+  const std::vector<VertexId> sources = ArcSources(g);
+  // Block k takes positions [blocks[k].start, blocks[k].start + arcs[k + 1]
+  // - arcs[k]) of the order, all in bin blocks[k].bin.
+  struct Block {
+    size_t bin;
+    int64_t start;
+  };
+  std::vector<Block> blocks;
+  std::vector<int64_t> arcs = {0};
+  for (size_t b = 0; b < kMaxBins; ++b) {
+    const int64_t tasks_per_block = TasksPerBlock(b, spec);
+    for (int64_t start = bounds[b]; start < bounds[b + 1];
+         start += tasks_per_block) {
+      blocks.push_back(Block{b, start});
+      arcs.push_back(arcs.back() +
+                     std::min(tasks_per_block, bounds[b + 1] - start));
+    }
+  }
+  return skeleton.Launch(
+      arcs, [&](BlockPricer& pricer, int64_t begin, int64_t end) -> Status {
+        for (int64_t k = begin; k < end; ++k) {
+          const Block& block = blocks[k];
+          const bool warp_per_arc = WarpPerArc(block.bin);
+          const int64_t block_end = block.start + (arcs[k + 1] - arcs[k]);
+          GPUTC_RETURN_IF_ERROR(pricer.AddBlock([&](BlockCostModel& model) {
+            for (int64_t i = block.start; i < block_end; ++i) {
+              const auto pos = static_cast<size_t>(order[i]);
+              const int64_t du = g.out_degree(sources[pos]);
+              const int64_t dv = g.out_degree(g.adjacency()[pos]);
+              const int task = static_cast<int>(i - block.start);
+              if (warp_per_arc) {
+                ChargeWarpSearch(model, task, du, dv, spec);
+              } else {
+                ThreadWork work = SequentialScan(dv, spec);
+                work += BinarySearchBatch(dv, du, /*shared=*/false, spec);
+                model.AddThreadWork(task, work);
+              }
+            }
+          }));
+        }
+        return OkStatus();
+      });
 }
 
 }  // namespace
 
+StatusOr<std::vector<int64_t>> FoxCounter::TryAOrderedEdgeOrder(
+    const DirectedGraph& g, const ResourceModel& model, const DeviceSpec& spec,
+    const ExecContext& ctx) const {
+  Span span = StartSpan(ctx, kEdgeOrderSite);
+  const Status entry = [&]() -> Status {
+    GPUTC_INJECT_FAULT(kEdgeOrderSite);
+    return ctx.CheckContinue(kEdgeOrderSite);
+  }();
+  if (!entry.ok()) {
+    span.SetStatus(entry);
+    return entry;
+  }
+  std::vector<EdgeCount> search_lengths;
+  BinnedArcs binned = BinCsrArcs(g, &search_lengths);
+
+  // Bins no longer than one block keep CSR order; the rest are packed, the
+  // largest first so the longest task starts first.
+  std::vector<size_t> packed;
+  for (size_t b = 0; b < kMaxBins; ++b) {
+    if (binned.bounds[b + 1] - binned.bounds[b] > TasksPerBlock(b, spec)) {
+      packed.push_back(b);
+    }
+  }
+  const auto bin_size = [&](size_t b) {
+    return binned.bounds[b + 1] - binned.bounds[b];
+  };
+  std::stable_sort(packed.begin(), packed.end(), [&](size_t a, size_t b) {
+    return bin_size(a) > bin_size(b);
+  });
+  ParallelSplit split = SplitByArcs(binned.bounds);
+  split.threads =
+      std::max(1, std::min(split.threads, static_cast<int>(packed.size())));
+  split.bounds.resize(packed.size() + 1);
+  std::iota(split.bounds.begin(), split.bounds.end(), int64_t{0});
+  span.SetAttr("arcs", g.num_edges());
+  span.SetAttr("bins", static_cast<int64_t>(packed.size()));
+  span.SetAttr("threads", static_cast<int64_t>(split.threads));
+
+  // A-order polls a copy without the tracer: pool threads never touch it.
+  ExecContext poll = ctx;
+  poll.tracer = nullptr;
+  const Status status = ParallelFor(split, [&](const ParallelTask& task) {
+    const size_t b = packed[static_cast<size_t>(task.index)];
+    GPUTC_RETURN_IF_ERROR(poll.CheckContinue(kEdgeOrderSite));
+    // Pack this bin's arcs so every block (TasksPerBlock consecutive tasks)
+    // gets a balanced mix of searched-list lengths.
+    const auto first = static_cast<size_t>(binned.bounds[b]);
+    const auto size = static_cast<size_t>(bin_size(b));
+    AOrderOptions options;
+    options.bucket_size = static_cast<int>(TasksPerBlock(b, spec));
+    options.exec = &poll;
+    AOrderResult result = AOrder(
+        std::span<const EdgeCount>(search_lengths).subspan(first, size), model,
+        options);
+    if (result.aborted) return poll.CheckContinue(kEdgeOrderSite);
+    // The bin's search lengths are spent: they hold its arcs while each
+    // scatters to its packed position perm[i].
+    int64_t* bin = binned.arcs.data() + first;
+    int64_t* spent = search_lengths.data() + first;
+    std::copy_n(bin, size, spent);
+    for (size_t i = 0; i < size; ++i) bin[result.perm[i]] = spent[i];
+    return OkStatus();
+  });
+  if (!status.ok()) {
+    span.SetStatus(status);
+    return status;
+  }
+  return std::move(binned.arcs);
+}
+
 std::vector<int64_t> FoxCounter::AOrderedEdgeOrder(
     const DirectedGraph& g, const ResourceModel& model,
     const DeviceSpec& spec) const {
-  const std::vector<VertexId> sources = ArcSources(g);
-  const std::vector<std::vector<int64_t>> bins = *RadixBins(g, CsrOrder(g));
-  std::vector<int64_t> order;
-  order.reserve(sources.size());
-  for (size_t b = 0; b < bins.size(); ++b) {
-    const std::vector<int64_t>& bin = bins[b];
-    const size_t tasks_per_block = TasksPerBlock(b, spec);
-    if (bin.size() <= tasks_per_block) {
-      order.insert(order.end(), bin.begin(), bin.end());
-      continue;
-    }
-    // Pack this bin's arcs so every block (tasks_per_block consecutive
-    // tasks) gets a balanced mix of searched-list lengths.
-    std::vector<EdgeCount> search_lengths(bin.size());
-    for (size_t i = 0; i < bin.size(); ++i) {
-      search_lengths[i] = g.out_degree(sources[static_cast<size_t>(bin[i])]);
-    }
-    AOrderOptions options;
-    options.bucket_size = static_cast<int>(tasks_per_block);
-    const AOrderResult packed = AOrder(search_lengths, model, options);
-    std::vector<int64_t> bin_order(bin.size());
-    for (size_t i = 0; i < bin.size(); ++i) {
-      bin_order[packed.perm[i]] = bin[i];
-    }
-    order.insert(order.end(), bin_order.begin(), bin_order.end());
-  }
-  return order;
+  StatusOr<std::vector<int64_t>> order =
+      TryAOrderedEdgeOrder(g, model, spec, ExecContext{});
+  GPUTC_CHECK(order.ok()) << "Fox::AOrderedEdgeOrder failed: "
+                          << order.status().ToString();
+  return *std::move(order);
 }
 
 StatusOr<KernelStats> FoxCounter::Price(const DirectedGraph& g,
                                         const DeviceSpec& spec,
                                         const ExecContext& ctx) const {
-  return PriceInOrder(g, spec, CsrOrder(g), ctx);
+  BlockSkeleton skeleton(spec, ctx, site());
+  const BinnedArcs binned = BinCsrArcs(g, nullptr);
+  return PriceBins(skeleton, g, spec, binned.arcs, binned.bounds);
 }
 
 TcResult FoxCounter::CountWithEdgeOrder(
@@ -134,60 +324,29 @@ TcResult FoxCounter::CountWithEdgeOrder(
 StatusOr<TcResult> FoxCounter::TryCountWithEdgeOrder(
     const DirectedGraph& g, const DeviceSpec& spec,
     const std::vector<int64_t>& edge_order, const ExecContext& ctx) const {
-  return TryCountPricedBy(g, ctx, [&](const ExecContext& tc_ctx) {
-    return PriceInOrder(g, spec, edge_order, tc_ctx);
+  return TryCountPricedBy(
+      g, ctx, [&](const ExecContext& tc_ctx) -> StatusOr<KernelStats> {
+    BlockSkeleton skeleton(spec, tc_ctx, site());
+    GPUTC_ASSIGN_OR_RETURN(const BinnedArcs binned,
+                           BinCallerOrder(g, edge_order));
+    return PriceBins(skeleton, g, spec, binned.arcs, binned.bounds);
   });
 }
 
-StatusOr<KernelStats> FoxCounter::PriceInOrder(
+StatusOr<TcResult> FoxCounter::TryCountWithBinnedOrder(
     const DirectedGraph& g, const DeviceSpec& spec,
-    const std::vector<int64_t>& edge_order, const ExecContext& ctx) const {
-  BlockSkeleton skeleton(spec, ctx, site());
-  GPUTC_ASSIGN_OR_RETURN(const std::vector<std::vector<int64_t>> bins,
-                         RadixBins(g, edge_order));
-  const std::vector<VertexId> sources = ArcSources(g);
-  // Block k takes tasks [start, start + arcs[k + 1] - arcs[k]) of bin
-  // blocks[k].bin; the bins' blocks follow one another in bin order.
-  struct Block {
-    size_t bin;
-    size_t start;
-  };
-  std::vector<Block> blocks;
-  std::vector<int64_t> arcs = {0};
-  for (size_t b = 0; b < bins.size(); ++b) {
-    const size_t tasks_per_block = TasksPerBlock(b, spec);
-    for (size_t start = 0; start < bins[b].size(); start += tasks_per_block) {
-      blocks.push_back(Block{b, start});
-      arcs.push_back(arcs.back() + static_cast<int64_t>(std::min(
-                                       tasks_per_block, bins[b].size() - start)));
-    }
+    const std::vector<int64_t>& binned_order, const ExecContext& ctx) const {
+  if (static_cast<int64_t>(binned_order.size()) != g.num_edges()) {
+    return InvalidArgumentError(
+        "binned edge order has " + std::to_string(binned_order.size()) +
+        " entries but the graph has " + std::to_string(g.num_edges()) +
+        " arcs");
   }
-  return skeleton.Launch(
-      arcs, [&](BlockPricer& pricer, int64_t begin, int64_t end) -> Status {
-        for (int64_t k = begin; k < end; ++k) {
-          const std::vector<int64_t>& bin = bins[blocks[k].bin];
-          const bool warp_per_arc = WarpPerArc(blocks[k].bin);
-          const size_t block_start = blocks[k].start;
-          const size_t block_end =
-              block_start + static_cast<size_t>(arcs[k + 1] - arcs[k]);
-          GPUTC_RETURN_IF_ERROR(pricer.AddBlock([&](BlockCostModel& model) {
-            for (size_t i = block_start; i < block_end; ++i) {
-              const size_t pos = static_cast<size_t>(bin[i]);
-              const int64_t du = g.out_degree(sources[pos]);
-              const int64_t dv = g.out_degree(g.adjacency()[pos]);
-              const int task = static_cast<int>(i - block_start);
-              if (warp_per_arc) {
-                ChargeWarpSearch(model, task, du, dv, spec);
-              } else {
-                ThreadWork work = SequentialScan(dv, spec);
-                work += BinarySearchBatch(dv, du, /*shared=*/false, spec);
-                model.AddThreadWork(task, work);
-              }
-            }
-          }));
-        }
-        return OkStatus();
-      });
+  return TryCountPricedBy(g, ctx, [&](const ExecContext& tc_ctx) {
+    BlockSkeleton skeleton(spec, tc_ctx, site());
+    return PriceBins(skeleton, g, spec, binned_order,
+                     BoundsOfBinnedOrder(g, binned_order));
+  });
 }
 
 }  // namespace gputc

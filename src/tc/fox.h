@@ -36,6 +36,14 @@ class FoxCounter : public SimTriangleCounter {
       const DirectedGraph& g, const DeviceSpec& spec,
       const std::vector<int64_t>& edge_order, const ExecContext& ctx) const;
 
+  /// TryCountWithEdgeOrder for an order TryAOrderedEdgeOrder built for `g`,
+  /// or a cached copy of one. Its arcs already run bin by bin, so it is
+  /// neither checked nor binned again: each bin's bounds are found by
+  /// binary search. An order of the wrong length is InvalidArgument.
+  StatusOr<TcResult> TryCountWithBinnedOrder(
+      const DirectedGraph& g, const DeviceSpec& spec,
+      const std::vector<int64_t>& binned_order, const ExecContext& ctx) const;
+
   /// Unconstrained TryCountWithEdgeOrder; CHECK-aborts on error.
   TcResult CountWithEdgeOrder(const DirectedGraph& g, const DeviceSpec& spec,
                               const std::vector<int64_t>& edge_order) const;
@@ -48,16 +56,20 @@ class FoxCounter : public SimTriangleCounter {
   /// bin (whose blocks the kernel forms from consecutive arcs), arcs are
   /// packed by Algorithm 2 keyed on their searched-list length d~(u), so
   /// every block receives a balanced compute/memory mix. This is the edge
-  /// ordering Figure 15 evaluates.
+  /// ordering Figure 15 evaluates. The result runs bin by bin.
+  ///
+  /// Built in one pass: a stable counting sort of the arcs into the bins on
+  /// the host pool, then A-order on each bin, one pool task per bin, each
+  /// polling `ctx`. Opens the "aorder.edges" span, passes the fail point of
+  /// that name, and returns ctx's stop status if a bin's packing stops.
+  StatusOr<std::vector<int64_t>> TryAOrderedEdgeOrder(
+      const DirectedGraph& g, const ResourceModel& model,
+      const DeviceSpec& spec, const ExecContext& ctx) const;
+
+  /// Unconstrained TryAOrderedEdgeOrder; CHECK-aborts on error.
   std::vector<int64_t> AOrderedEdgeOrder(const DirectedGraph& g,
                                          const ResourceModel& model,
                                          const DeviceSpec& spec) const;
-
- private:
-  StatusOr<KernelStats> PriceInOrder(const DirectedGraph& g,
-                                     const DeviceSpec& spec,
-                                     const std::vector<int64_t>& edge_order,
-                                     const ExecContext& ctx) const;
 };
 
 }  // namespace gputc
