@@ -13,29 +13,6 @@ void BlockCostModel::BeginBlock() {
   cost_ = BlockCost{};
 }
 
-void BlockCostModel::AddThreadWork(int thread_idx, const ThreadWork& work) {
-  GPUTC_CHECK_GE(thread_idx, 0);
-  GPUTC_CHECK_LT(thread_idx, spec_.threads_per_block());
-  if (current_.empty()) BeginBlock();
-  current_[static_cast<size_t>(thread_idx)] += work;
-  touched_ = std::max(touched_, thread_idx + 1);
-}
-
-void BlockCostModel::AddThreadsWork(int first, int count,
-                                    const ThreadWork& work) {
-  GPUTC_CHECK_GE(first, 0);
-  GPUTC_CHECK_GE(count, 0);
-  GPUTC_CHECK_LE(static_cast<int64_t>(first) + count,
-                 spec_.threads_per_block());
-  if (count == 0) return;
-  if (current_.empty()) BeginBlock();
-  const int end = first + count;
-  for (int t = first; t < end; ++t) {
-    current_[static_cast<size_t>(t)] += work;
-  }
-  touched_ = std::max(touched_, end);
-}
-
 void BlockCostModel::EndSuperstep() { FoldSuperstep(/*charge_sync=*/true); }
 
 void BlockCostModel::FoldSuperstep(bool charge_sync) {

@@ -1,10 +1,12 @@
 #ifndef GPUTC_SIM_BLOCK_COST_H_
 #define GPUTC_SIM_BLOCK_COST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "sim/device.h"
+#include "util/logging.h"
 
 namespace gputc {
 
@@ -68,14 +70,33 @@ class BlockCostModel {
   void BeginBlock();
 
   /// Adds `work` to thread `thread_idx` (0-based within the block) of the
-  /// current superstep. thread_idx must be < threads_per_block.
-  void AddThreadWork(int thread_idx, const ThreadWork& work);
+  /// current superstep. thread_idx must be < threads_per_block. Inline: the
+  /// counters call it once or more per priced arc.
+  void AddThreadWork(int thread_idx, const ThreadWork& work) {
+    GPUTC_CHECK_GE(thread_idx, 0);
+    GPUTC_CHECK_LT(thread_idx, spec_.threads_per_block());
+    if (current_.empty()) BeginBlock();
+    current_[static_cast<size_t>(thread_idx)] += work;
+    touched_ = std::max(touched_, thread_idx + 1);
+  }
 
   /// Adds the same `work` to each of threads [first, first + count): the
   /// lane-uniform charge of a cooperative warp or block. Every lane gets the
   /// addends AddThreadWork would give it, in the same order. The range must
   /// lie within threads_per_block.
-  void AddThreadsWork(int first, int count, const ThreadWork& work);
+  void AddThreadsWork(int first, int count, const ThreadWork& work) {
+    GPUTC_CHECK_GE(first, 0);
+    GPUTC_CHECK_GE(count, 0);
+    GPUTC_CHECK_LE(static_cast<int64_t>(first) + count,
+                   spec_.threads_per_block());
+    if (count == 0) return;
+    if (current_.empty()) BeginBlock();
+    const int end = first + count;
+    for (int t = first; t < end; ++t) {
+      current_[static_cast<size_t>(t)] += work;
+    }
+    touched_ = std::max(touched_, end);
+  }
 
   /// Closes the current superstep (BSP kernels call this at every
   /// __syncthreads()).

@@ -18,32 +18,6 @@ int64_t TransactionsForWarpAccess(std::span<const int64_t> element_indices,
   return static_cast<int64_t>(segments.size());
 }
 
-int ProbesForBinarySearch(int64_t len) {
-  if (len <= 0) return 0;
-  int probes = 1;
-  while (len > 1) {
-    len >>= 1;
-    ++probes;
-  }
-  return probes;
-}
-
-int64_t ThreadBinarySearchTransactions(int64_t len, const DeviceSpec& spec) {
-  if (len <= 0) return 0;
-  const int64_t per_txn = spec.elements_per_transaction();
-  // Each halving step whose active range still spans > 1 segment lands in a
-  // fresh segment; once the range fits one segment all remaining probes are
-  // free (the paper's Figure 4: 3 transactions on the long list, 1 on the
-  // short one).
-  int64_t transactions = 1;
-  int64_t range = len;
-  while (range > per_txn) {
-    range >>= 1;
-    ++transactions;
-  }
-  return transactions;
-}
-
 int64_t WarpSharedListSearchTransactions(int64_t len, int active_lanes,
                                          const DeviceSpec& spec) {
   if (len <= 0 || active_lanes <= 0) return 0;

@@ -1,6 +1,7 @@
 #ifndef GPUTC_SIM_MEMORY_H_
 #define GPUTC_SIM_MEMORY_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -25,14 +26,24 @@ int64_t TransactionsForWarpAccess(std::span<const int64_t> element_indices,
                                   const DeviceSpec& spec);
 
 /// Number of probes a binary search performs on a list of length `len`
-/// (floor(log2(len)) + 1; 0 for an empty list).
-int ProbesForBinarySearch(int64_t len);
+/// (floor(log2(len)) + 1, the bit width of `len`; 0 for an empty list).
+inline int ProbesForBinarySearch(int64_t len) {
+  return len <= 0 ? 0 : std::bit_width(static_cast<uint64_t>(len));
+}
 
 /// Transactions charged for ONE thread's binary search over a list of length
 /// `len` (Figure 4): every probe whose remaining range spans more than one
 /// transaction segment costs a fresh transaction; the tail of the search
-/// stays inside one segment and costs a single transaction.
-int64_t ThreadBinarySearchTransactions(int64_t len, const DeviceSpec& spec);
+/// stays inside one segment and costs a single transaction (the paper's
+/// Figure 4: 3 transactions on the long list, 1 on the short one).
+inline int64_t ThreadBinarySearchTransactions(int64_t len,
+                                              const DeviceSpec& spec) {
+  if (len <= 0) return 0;
+  const int64_t per_txn = spec.elements_per_transaction();
+  int64_t transactions = 1;
+  for (int64_t range = len; range > per_txn; range >>= 1) ++transactions;
+  return transactions;
+}
 
 /// Transactions charged for a warp in which `active_lanes` lanes binary
 /// search DIFFERENT keys in the SAME list of length `len` (Figure 5, the
