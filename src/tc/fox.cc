@@ -83,41 +83,55 @@ void StartSlots(std::span<std::array<int64_t, kMaxBins>> counts,
   bounds[kMaxBins] = next;
 }
 
+/// Sources a counting-sort range walks between two polls of its context.
+constexpr int64_t kPollVertices = 4096;
+
 /// Stable counting sort of the arcs, in CSR order, into their bins on the
 /// host pool. Each range of source vertices counts its arcs per bin; the
 /// prefix sum over (bin, range) gives each range its slots, and each range
 /// scatters its arcs there, so the result is the sequential scan's. When
 /// `search` is non-null it receives each sorted arc's searched-list length
-/// d~(u), slot for slot.
-BinnedArcs BinCsrArcs(const DirectedGraph& g, std::vector<EdgeCount>* search) {
+/// d~(u), slot for slot. Polls `ctx`, naming `site`, as it goes.
+StatusOr<BinnedArcs> BinCsrArcs(const DirectedGraph& g, const ExecContext& ctx,
+                                std::string_view site,
+                                std::vector<EdgeCount>* search) {
   const std::vector<EdgeCount>& offsets = g.offsets();
   const ParallelSplit split = SplitByArcs(offsets);
-  std::vector<std::array<int64_t, kMaxBins>> slots(
-      static_cast<size_t>(split.tasks()));
-  (void)ParallelFor(split, [&](const ParallelTask& task) {
-    std::array<int64_t, kMaxBins>& count = slots[task.index];
-    count.fill(0);
-    for (int64_t pos = offsets[task.begin]; pos < offsets[task.end]; ++pos) {
-      ++count[ArcBin(g, pos)];
-    }
-    return OkStatus();
-  });
-  BinnedArcs binned;
-  StartSlots(slots, binned.bounds);
-  binned.arcs.resize(static_cast<size_t>(g.num_edges()));
-  if (search != nullptr) search->resize(binned.arcs.size());
-  (void)ParallelFor(split, [&](const ParallelTask& task) {
-    std::array<int64_t, kMaxBins>& next = slots[task.index];
+  // Calls visit(u, pos) for every arc of the task's sources in CSR order.
+  const auto walk = [&](const ParallelTask& task, auto&& visit) -> Status {
     for (int64_t u = task.begin; u < task.end; ++u) {
-      const EdgeCount du = offsets[u + 1] - offsets[u];
+      if ((u - task.begin) % kPollVertices == 0 && ctx.stop_requested()) {
+        return ctx.CheckContinue(site);
+      }
       for (int64_t pos = offsets[u]; pos < offsets[u + 1]; ++pos) {
-        const auto at = static_cast<size_t>(next[ArcBin(g, pos)]++);
-        binned.arcs[at] = pos;
-        if (search != nullptr) (*search)[at] = du;
+        visit(u, pos);
       }
     }
     return OkStatus();
-  });
+  };
+  std::vector<std::array<int64_t, kMaxBins>> slots(
+      static_cast<size_t>(split.tasks()));
+  GPUTC_RETURN_IF_ERROR(ParallelFor(split, [&](const ParallelTask& task) {
+    std::array<int64_t, kMaxBins>& count = slots[task.index];
+    count.fill(0);
+    return walk(task, [&](int64_t, int64_t pos) { ++count[ArcBin(g, pos)]; });
+  }));
+  BinnedArcs binned;
+  StartSlots(slots, binned.bounds);
+  binned.arcs.resize(static_cast<size_t>(g.num_edges()));
+  if (search != nullptr) {
+    GPUTC_RETURN_IF_ERROR(ctx.CheckContinue(site));
+    search->resize(binned.arcs.size());
+  }
+  GPUTC_RETURN_IF_ERROR(ctx.CheckContinue(site));
+  GPUTC_RETURN_IF_ERROR(ParallelFor(split, [&](const ParallelTask& task) {
+    std::array<int64_t, kMaxBins>& next = slots[task.index];
+    return walk(task, [&](int64_t u, int64_t pos) {
+      const auto at = static_cast<size_t>(next[ArcBin(g, pos)]++);
+      binned.arcs[at] = pos;
+      if (search != nullptr) (*search)[at] = offsets[u + 1] - offsets[u];
+    });
+  }));
   return binned;
 }
 
@@ -236,7 +250,13 @@ StatusOr<std::vector<int64_t>> FoxCounter::TryAOrderedEdgeOrder(
     return entry;
   }
   std::vector<EdgeCount> search_lengths;
-  BinnedArcs binned = BinCsrArcs(g, &search_lengths);
+  StatusOr<BinnedArcs> sorted =
+      BinCsrArcs(g, ctx, kEdgeOrderSite, &search_lengths);
+  if (!sorted.ok()) {
+    span.SetStatus(sorted.status());
+    return sorted.status();
+  }
+  BinnedArcs& binned = *sorted;
 
   // Bins no longer than one block keep CSR order; the rest are packed, the
   // largest first so the longest task starts first.
@@ -307,7 +327,8 @@ StatusOr<KernelStats> FoxCounter::Price(const DirectedGraph& g,
                                         const DeviceSpec& spec,
                                         const ExecContext& ctx) const {
   BlockSkeleton skeleton(spec, ctx, site());
-  const BinnedArcs binned = BinCsrArcs(g, nullptr);
+  GPUTC_ASSIGN_OR_RETURN(const BinnedArcs binned,
+                         BinCsrArcs(g, ctx, site(), nullptr));
   return PriceBins(skeleton, g, spec, binned.arcs, binned.bounds);
 }
 
