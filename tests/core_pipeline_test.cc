@@ -11,6 +11,7 @@
 #include "direction/cost_model.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
+#include "obs/trace.h"
 #include "order/calibration.h"
 #include "tc/cpu_counters.h"
 
@@ -81,6 +82,41 @@ TEST(RunTriangleCountTest, FoxUsesEdgeReordering) {
             IdentityPermutation(g.num_vertices()));
   EXPECT_EQ(r.triangles, CountTrianglesNodeIterator(g));
   EXPECT_GT(r.preprocess.ordering_ms, 0.0);
+}
+
+// Fox's preprocessing time is its whole ordering step: the counted CSR's
+// build and the edge order, inside one traced `order` span.
+TEST(RunTriangleCountTest, FoxPreprocessingTimeCoversTheEdgeOrder) {
+  const Graph g = GenerateRmat(12, 8, 3);
+  Tracer tracer;
+  ExecContext ctx;
+  ctx.tracer = &tracer;
+  ctx.trace_id = tracer.NewTraceId();
+  const StatusOr<RunResult> run = RunTriangleCountWithContext(
+      g, TcAlgorithm::kFox, DeviceSpec::TitanXpLike(), PreprocessOptions{},
+      ctx);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const PreprocessResult& prep = run->preprocess;
+  EXPECT_EQ(prep.total_ms, prep.direction_ms + prep.ordering_ms);
+  EXPECT_EQ(static_cast<int64_t>(prep.edge_order.size()),
+            prep.graph.num_edges());
+
+  std::vector<SpanRecord> order_spans;
+  double build_ms = -1.0;
+  double edge_order_ms = -1.0;
+  for (const SpanRecord& span : tracer.Snapshot()) {
+    if (span.name == "order") order_spans.push_back(span);
+    if (span.name == "csr.build") build_ms = span.dur_us / 1000.0;
+    if (span.name == "aorder.edges") edge_order_ms = span.dur_us / 1000.0;
+  }
+  ASSERT_EQ(order_spans.size(), 1u);
+  ASSERT_GE(build_ms, 0.0);
+  ASSERT_GE(edge_order_ms, 0.0);
+  EXPECT_GE(prep.ordering_ms, build_ms);
+  EXPECT_GE(prep.ordering_ms, edge_order_ms);
+  for (const auto& [key, value] : order_spans.front().attrs) {
+    if (key == "strategy") EXPECT_EQ(value, "A-order(edges)");
+  }
 }
 
 TEST(CountTrianglesFacadeTest, QuickstartPath) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -10,6 +11,7 @@
 #include "core/prep_cache.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
+#include "obs/trace.h"
 #include "tc/cpu_counters.h"
 #include "util/failpoint.h"
 #include "util/parallel.h"
@@ -225,6 +227,41 @@ TEST_F(ExecutorTest, CancellationIsObservedWithinOneBlock) {
             std::string::npos);
   EXPECT_EQ(FailPointRegistry::Instance().hits("tc.block"), 3)
       << "counter kept working past the cancellation point";
+}
+
+TEST_F(ExecutorTest, CancellationStopsFoxsEdgeOrder) {
+  // Fox's edge order is preprocessing and polls the request's context:
+  // cancelled once the order starts, the request ends CANCELLED there,
+  // without the order's bins being packed or the kernel being counted.
+  const Graph big = GenerateRmat(13, 8, 72);
+  Tracer tracer;
+  ExecContext ctx;
+  ctx.tracer = &tracer;
+  ctx.trace_id = tracer.NewTraceId();
+  FailPointRegistry::Instance().SetObserver(
+      "aorder.edges",
+      [&ctx](int64_t) { ctx.cancel.Cancel("cancelled by test observer"); });
+  FailPointScope scope;
+  const StatusOr<RunResult> run = RunTriangleCountWithContext(
+      big, TcAlgorithm::kFox, spec_, PreprocessOptions{}, ctx);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kCancelled);
+  EXPECT_NE(run.status().ToString().find("aorder.edges"), std::string::npos)
+      << run.status().ToString();
+  EXPECT_EQ(FailPointRegistry::Instance().hits("aorder.edges"), 1);
+  int edge_order_spans = 0;
+  for (const SpanRecord& span : tracer.Snapshot()) {
+    EXPECT_NE(span.name, "count") << "the kernel ran after the cancellation";
+    EXPECT_NE(span.name, "aorder.pass");
+    if (span.name != "aorder.edges") continue;
+    ++edge_order_spans;
+    const auto status = std::find_if(
+        span.attrs.begin(), span.attrs.end(),
+        [](const auto& attr) { return attr.first == "status"; });
+    ASSERT_NE(status, span.attrs.end());
+    EXPECT_EQ(status->second, "CANCELLED");
+  }
+  EXPECT_EQ(edge_order_spans, 1);
 }
 
 TEST_F(ExecutorTest, CountLimitSurfacesOverflowWithoutWrapping) {

@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -30,7 +32,10 @@
 #include "graph/edge_list.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "obs/trace.h"
+#include "order/calibration.h"
 #include "service/cache_store.h"
+#include "tc/fox.h"
 #include "tc/cpu_counters.h"
 #include "tc/registry.h"
 #include "util/durable_file.h"
@@ -130,6 +135,7 @@ void ExpectSameResult(const PreprocessResult& a, const PreprocessResult& b,
   EXPECT_EQ(a.graph.offsets(), b.graph.offsets()) << label;
   EXPECT_EQ(a.graph.adjacency(), b.graph.adjacency()) << label;
   EXPECT_EQ(a.vertex_perm, b.vertex_perm) << label;
+  EXPECT_EQ(a.edge_order, b.edge_order) << label;
   EXPECT_EQ(a.direction_cost, b.direction_cost) << label;
   EXPECT_EQ(a.ordering_cost, b.ordering_cost) << label;
   EXPECT_EQ(a.lambda, b.lambda) << label;
@@ -146,7 +152,8 @@ TEST(PrepCacheDifferentialTest, HitAndMissMatchUncachedEverywhere) {
          {DirectionStrategy::kIdBased, DirectionStrategy::kADirection}) {
       for (OrderingStrategy ordering :
            {OrderingStrategy::kOriginal, OrderingStrategy::kAOrder,
-            OrderingStrategy::kDegree, OrderingStrategy::kRandom}) {
+            OrderingStrategy::kDegree, OrderingStrategy::kRandom,
+            OrderingStrategy::kAOrderEdges}) {
         const std::string label = entry.name + "/" + ToString(direction) +
                                   "/" + ToString(ordering);
         PreprocessOptions options;
@@ -250,6 +257,96 @@ TEST(PrepCacheDifferentialTest, DiskTierReproducesAcrossCacheInstances) {
   ExpectSameResult(first, *from_disk, "disk round trip");
   EXPECT_EQ(warm.stats().disk_hits, 1);
   EXPECT_EQ(warm.stats().misses, 0);
+}
+
+// Fox's edge order is part of the artifact: the fill, a memory hit and a
+// disk hit in a new cache all return the order the uncached compute builds,
+// and tier 1 charges its bytes.
+TEST(PrepCacheDifferentialTest, FoxEdgeOrderRoundTripsThroughBothTiers) {
+  const DeviceSpec spec = DeviceSpec::TitanXpLike();
+  const Graph g = GenerateRmat(10, 8, 4);
+  DiskCacheStore store(FreshDir("edge-order-roundtrip"));
+  PreprocessOptions options;
+  options.ordering = OrderingStrategy::kAOrderEdges;
+  options.calibrate = true;
+  const StatusOr<PreprocessResult> uncached =
+      TryPreprocess(g, spec, options, ExecContext());
+  ASSERT_TRUE(uncached.ok());
+  ASSERT_EQ(static_cast<int64_t>(uncached->edge_order.size()),
+            uncached->graph.num_edges());
+  EXPECT_EQ(uncached->edge_order,
+            FoxCounter().AOrderedEdgeOrder(
+                uncached->graph, CalibratedResourceModel(spec), spec));
+
+  PrepCache cache(0, &store);
+  options.prep_cache = &cache;
+  for (const char* pass : {"fill", "memory hit"}) {
+    const StatusOr<PreprocessResult> got =
+        TryPreprocess(g, spec, options, ExecContext());
+    ASSERT_TRUE(got.ok()) << pass;
+    ExpectSameResult(*uncached, *got, pass);
+  }
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().memory_hits, 1);
+  PrepArtifact artifact = *ComputePrepArtifact(g, spec, options, ExecContext());
+  EXPECT_EQ(cache.stats().resident_bytes, artifact.ByteSize());
+  const int64_t with_order = artifact.ByteSize();
+  artifact.edge_order.clear();
+  EXPECT_EQ(with_order - artifact.ByteSize(),
+            g.num_edges() * static_cast<int64_t>(sizeof(int64_t)));
+
+  PrepCache restarted(0, &store);
+  options.prep_cache = &restarted;
+  const StatusOr<PreprocessResult> from_disk =
+      TryPreprocess(g, spec, options, ExecContext());
+  ASSERT_TRUE(from_disk.ok());
+  ExpectSameResult(*uncached, *from_disk, "disk hit");
+  EXPECT_EQ(restarted.stats().disk_hits, 1);
+  EXPECT_EQ(restarted.stats().misses, 0);
+}
+
+// A warm Fox request reads its edge order from the artifact: it counts a
+// memory hit, builds no order (no `order`, `aorder.edges` or `aorder.pass`
+// span), and models the same kernel bit for bit.
+TEST(PrepCacheDifferentialTest, WarmFoxRequestSkipsTheEdgeOrder) {
+  const DeviceSpec spec = DeviceSpec::TitanXpLike();
+  const Graph g = GenerateRmat(11, 8, 9);
+  PrepCache cache(0);
+  PreprocessOptions options;
+  options.prep_cache = &cache;
+  const auto traced_run = [&](std::vector<SpanRecord>* spans) {
+    Tracer tracer;
+    ExecContext ctx;
+    ctx.tracer = &tracer;
+    ctx.trace_id = tracer.NewTraceId();
+    StatusOr<RunResult> run =
+        RunTriangleCountWithContext(g, TcAlgorithm::kFox, spec, options, ctx);
+    *spans = tracer.Snapshot();
+    return run;
+  };
+  const auto count = [](const std::vector<SpanRecord>& spans,
+                        const std::string& name) {
+    return std::count_if(spans.begin(), spans.end(),
+                         [&](const SpanRecord& s) { return s.name == name; });
+  };
+  std::vector<SpanRecord> cold_spans;
+  const StatusOr<RunResult> cold = traced_run(&cold_spans);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(count(cold_spans, "order"), 1);
+  EXPECT_EQ(count(cold_spans, "aorder.edges"), 1);
+  EXPECT_EQ(cache.stats().misses, 1);
+
+  std::vector<SpanRecord> warm_spans;
+  const StatusOr<RunResult> warm = traced_run(&warm_spans);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(cache.stats().memory_hits, 1);
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(count(warm_spans, "order"), 0);
+  EXPECT_EQ(count(warm_spans, "aorder.edges"), 0);
+  EXPECT_EQ(count(warm_spans, "aorder.pass"), 0);
+  EXPECT_EQ(warm->triangles, cold->triangles);
+  EXPECT_EQ(std::memcmp(&warm->kernel, &cold->kernel, sizeof(KernelStats)), 0);
+  EXPECT_EQ(warm->preprocess.edge_order, cold->preprocess.edge_order);
 }
 
 // -- fingerprint sensitivity -------------------------------------------------
@@ -516,6 +613,7 @@ TEST(PrepArtifactCodecTest, RoundTripsEveryField) {
   PrepArtifact artifact = TinyArtifact(6, 40, 3.25);
   artifact.direction_cost = 123.5;
   artifact.ordering_cost = 456.25;
+  for (int64_t arc = 39; arc >= 0; --arc) artifact.edge_order.push_back(arc);
 
   const std::string encoded = EncodePrepArtifact(artifact);
   const StatusOr<PrepArtifact> decoded = DecodePrepArtifact(encoded);
@@ -523,6 +621,7 @@ TEST(PrepArtifactCodecTest, RoundTripsEveryField) {
   EXPECT_EQ(decoded->offsets, artifact.offsets);
   EXPECT_EQ(decoded->adj, artifact.adj);
   EXPECT_EQ(decoded->vertex_perm, artifact.vertex_perm);
+  EXPECT_EQ(decoded->edge_order, artifact.edge_order);
   EXPECT_EQ(decoded->lambda, artifact.lambda);
   EXPECT_EQ(decoded->direction_cost, artifact.direction_cost);
   EXPECT_EQ(decoded->ordering_cost, artifact.ordering_cost);
@@ -543,6 +642,26 @@ TEST(PrepArtifactCodecTest, RejectsForeignAndTruncatedBuffers) {
   }
   EXPECT_EQ(DecodePrepArtifact(encoded + "x").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// The edge-order section gets the CSR sections' shape check: empty or one
+// entry per arc, and every entry an arc index.
+TEST(PrepArtifactCodecTest, RejectsAMisshapenEdgeOrder) {
+  PrepArtifact fits = TinyArtifact(6, 40, 1.0);
+  fits.edge_order.assign(40, 0);
+  fits.edge_order.back() = 39;
+  EXPECT_TRUE(DecodePrepArtifact(EncodePrepArtifact(fits)).ok());
+
+  PrepArtifact short_order = fits;
+  short_order.edge_order.pop_back();
+  PrepArtifact past_the_end = fits;
+  past_the_end.edge_order[7] = 40;
+  PrepArtifact negative = fits;
+  negative.edge_order[3] = -1;
+  for (const PrepArtifact* bad : {&short_order, &past_the_end, &negative}) {
+    EXPECT_EQ(DecodePrepArtifact(EncodePrepArtifact(*bad)).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 // -- tier-2 store ------------------------------------------------------------
@@ -719,6 +838,47 @@ TEST(PrepCacheRecoveryTest, CorruptArtifactRecomputedAndHealed) {
   ASSERT_TRUE(TryPreprocess(g, spec, options, ExecContext()).ok());
   EXPECT_EQ(healed.stats().disk_hits, 1);
   EXPECT_EQ(healed.stats().load_errors, 0);
+}
+
+// A tier-2 file that passes its CRC but carries a misshapen edge order is a
+// miss: the request recomputes the artifact and the file is rewritten.
+TEST(PrepCacheRecoveryTest, MisshapenEdgeOrderOnDiskIsRecomputed) {
+  const DeviceSpec spec = DeviceSpec::TitanXpLike();
+  const Graph g = GenerateErdosRenyi(150, 500, 5);
+  DiskCacheStore store(FreshDir("edge-order"));
+  PreprocessOptions options;
+  options.ordering = OrderingStrategy::kAOrderEdges;
+  options.calibrate = false;
+  const PrepCacheKey key = PrepFingerprint(g, spec, options);
+  const StatusOr<PrepArtifact> good =
+      ComputePrepArtifact(g, spec, options, ExecContext());
+  ASSERT_TRUE(good.ok());
+  const StatusOr<PreprocessResult> reference =
+      MaterializePreprocess(*good, ExecContext());
+  ASSERT_TRUE(reference.ok());
+
+  PrepArtifact short_order = *good;
+  short_order.edge_order.pop_back();
+  PrepArtifact past_the_end = *good;
+  past_the_end.edge_order.front() = g.num_edges();
+  for (const PrepArtifact* bad : {&short_order, &past_the_end}) {
+    ASSERT_TRUE(store.Store(key, EncodePrepArtifact(*bad)).ok());
+    PrepCache cache(0, &store);
+    options.prep_cache = &cache;
+    const StatusOr<PreprocessResult> after =
+        TryPreprocess(g, spec, options, ExecContext());
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    ExpectSameResult(*reference, *after, "recomputed edge order");
+    EXPECT_EQ(cache.stats().load_errors, 1);
+    EXPECT_EQ(cache.stats().misses, 1);
+    EXPECT_EQ(cache.stats().disk_hits, 0);
+
+    PrepCache healed(0, &store);
+    options.prep_cache = &healed;
+    ASSERT_TRUE(TryPreprocess(g, spec, options, ExecContext()).ok());
+    EXPECT_EQ(healed.stats().disk_hits, 1);
+    EXPECT_EQ(healed.stats().load_errors, 0);
+  }
 }
 
 // Armed cache.load / cache.store fail points: tier-2 faults must never fail
