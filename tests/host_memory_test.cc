@@ -210,24 +210,26 @@ TEST_F(HostMemoryTest, DiskTierStaysUnderTheFillEstimate) {
 }
 
 // The `sparse-count` shape. Generating it takes a few seconds, so it runs
-// only when asked for (--gtest_also_run_disabled_tests).
+// only when asked for (--gtest_also_run_disabled_tests). Every counter's
+// cold, fill and warm peaks are printed; only Hu's are held to the
+// estimates, which do not charge Fox's and Bisson's own arrays.
 TEST_F(HostMemoryTest, DISABLED_WattsStrogatzMillionVertices) {
   const Graph g = GenerateWattsStrogatz(1'000'000, 8, 0.1, 1);
   for (TcAlgorithm algorithm :
        {TcAlgorithm::kHu, TcAlgorithm::kFox, TcAlgorithm::kBisson}) {
     RequestPeakBytes(g, algorithm, nullptr);
     const int64_t cold = RequestPeakBytes(g, algorithm, nullptr);
+    PrepCache cache(0);
+    const int64_t fill = RequestPeakBytes(g, algorithm, &cache);
+    const int64_t warm = RequestPeakBytes(g, algorithm, &cache);
     std::cout << "ws-1M / " << ToString(algorithm) << ": cold " << cold
-              << " B, EstimateHostBytes " << EstimateHostBytes(g) << "\n";
+              << " B, EstimateHostBytes " << EstimateHostBytes(g) << "; fill "
+              << fill << " B, EstimateHostBytesFill "
+              << EstimateHostBytesFill(g) << "; warm " << warm
+              << " B, EstimateHostBytesCached " << EstimateHostBytesCached(g)
+              << "\n";
     if (algorithm == TcAlgorithm::kHu) {
       EXPECT_LE(cold, EstimateHostBytes(g));
-      PrepCache cache(0);
-      const int64_t fill = RequestPeakBytes(g, algorithm, &cache);
-      const int64_t warm = RequestPeakBytes(g, algorithm, &cache);
-      std::cout << "ws-1M / Hu: fill " << fill << " B, EstimateHostBytesFill "
-                << EstimateHostBytesFill(g) << "; warm " << warm
-                << " B, EstimateHostBytesCached "
-                << EstimateHostBytesCached(g) << "\n";
       EXPECT_LE(fill, EstimateHostBytesFill(g));
       EXPECT_LE(warm, EstimateHostBytesCached(g));
     }
