@@ -18,7 +18,8 @@ namespace gputc {
 // code must recover from. The canonical site list (keep this current — it is
 // the one place every site is documented):
 //
-//   executor        io.load, preprocess, sim.memory, tc.<algorithm> counter
+//   executor        io.load, preprocess, sim.memory, aorder.edges (Fox's
+//                   edge order, in preprocessing), tc.<algorithm> counter
 //                   entries, and the tc.block / tc.cpu loop polls
 //   batch service   service.enqueue, service.admit, service.worker,
 //                   service.journal (between WAL commit and journal emit)
