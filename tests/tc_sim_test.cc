@@ -108,6 +108,28 @@ TEST(SimCounterMetaTest, InterfaceFlagsMatchPaper) {
             ReorderUnit::kVertex);
 }
 
+/// CRC32C of the bit pattern of every KernelStats field, in declaration
+/// order.
+uint32_t KernelStatsCrc(const KernelStats& k) {
+  uint32_t crc = 0;
+  const auto fold = [&crc](const auto& field) {
+    crc = Crc32c(&field, sizeof(field), crc);
+  };
+  fold(k.cycles);
+  fold(k.millis);
+  fold(k.num_blocks);
+  fold(k.supersteps);
+  fold(k.total_ops);
+  fold(k.total_transactions);
+  fold(k.total_shared_transactions);
+  fold(k.compute_cycles);
+  fold(k.memory_cycles);
+  fold(k.shared_cycles);
+  fold(k.sync_cycles);
+  fold(k.sm_utilization);
+  return crc;
+}
+
 TEST(FoxEdgeOrderTest, ArbitraryEdgeOrderKeepsCountExact) {
   const Graph g = GeneratePowerLawConfiguration(500, 2.1, 2, 100, 8);
   const DirectedGraph d = Orient(g, DirectionStrategy::kDegreeBased);
@@ -150,26 +172,29 @@ TEST(FoxEdgeOrderTest, OrdersThatAreNotPermutationsAreRejected) {
       StatusCode::kInvalidArgument);
 }
 
-/// CRC32C of the bit pattern of every KernelStats field, in declaration
-/// order.
-uint32_t KernelStatsCrc(const KernelStats& k) {
-  uint32_t crc = 0;
-  const auto fold = [&crc](const auto& field) {
-    crc = Crc32c(&field, sizeof(field), crc);
-  };
-  fold(k.cycles);
-  fold(k.millis);
-  fold(k.num_blocks);
-  fold(k.supersteps);
-  fold(k.total_ops);
-  fold(k.total_transactions);
-  fold(k.total_shared_transactions);
-  fold(k.compute_cycles);
-  fold(k.memory_cycles);
-  fold(k.shared_cycles);
-  fold(k.sync_cycles);
-  fold(k.sm_utilization);
-  return crc;
+// The pipeline's own order is priced without a permutation check, but one
+// of the wrong length is still refused, and an order that runs bin by bin
+// prices exactly as the checked path does.
+TEST(FoxEdgeOrderTest, BinnedOrderMatchesTheCheckedPath) {
+  const Graph g = GeneratePowerLawConfiguration(500, 2.1, 2, 100, 8);
+  const DirectedGraph d = Orient(g, DirectionStrategy::kADirection);
+  const DeviceSpec spec = DeviceSpec::TitanXpLike();
+  const FoxCounter fox;
+  std::vector<int64_t> order =
+      fox.AOrderedEdgeOrder(d, ResourceModel::Default(), spec);
+  const StatusOr<TcResult> checked =
+      fox.TryCountWithEdgeOrder(d, spec, order, ExecContext{});
+  const StatusOr<TcResult> binned =
+      fox.TryCountWithBinnedOrder(d, spec, order, ExecContext{});
+  ASSERT_TRUE(checked.ok() && binned.ok());
+  EXPECT_EQ(binned->triangles, checked->triangles);
+  EXPECT_EQ(KernelStatsCrc(binned->kernel), KernelStatsCrc(checked->kernel));
+
+  order.pop_back();
+  EXPECT_EQ(fox.TryCountWithBinnedOrder(d, spec, order, ExecContext{})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 // Fox's edge A-order itself, not only the kernel it prices: per graph, the
