@@ -273,10 +273,19 @@ AOrderResult AOrder(std::span<const EdgeCount> out_degrees,
   // the sort only makes lock-step warps inside a block as uniform as
   // possible so the balanced mix does not reappear as SIMT divergence.
   // A key (~degree, id) sorts ascending as (degree descending, id).
+  // After a full packing the sorts poll every 16 chunks, as packing does
+  // every ~1k placements; a stop leaves the remaining chunks unsorted and
+  // the permutation valid.
   if (options.sort_within_bucket) {
+    const bool poll = options.exec != nullptr && !result.aborted;
     std::vector<uint64_t> keys;
     keys.reserve(std::min(bucket_size, n));
     for (size_t chunk = 0; chunk < n; chunk += bucket_size) {
+      if (poll && chunk / bucket_size % 16 == 0 &&
+          options.exec->stop_requested()) {
+        result.aborted = true;
+        break;
+      }
       const size_t end = std::min(n, chunk + bucket_size);
       keys.clear();
       for (size_t i = chunk; i < end; ++i) {

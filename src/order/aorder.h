@@ -24,7 +24,8 @@ struct AOrderOptions {
   bool sort_within_bucket = true;
 
   /// Optional execution envelope, polled every ~1k placements during bucket
-  /// packing. Not owned; null means unconstrained.
+  /// packing and every 16 buckets of the within-bucket sort. Not owned; null
+  /// means unconstrained.
   const ExecContext* exec = nullptr;
 };
 
@@ -33,10 +34,11 @@ struct AOrderResult {
   Permutation perm;  // old id -> new id.
   int64_t num_memory_dominated = 0;
   int64_t num_compute_dominated = 0;
-  /// True when packing stopped early because options.exec requested a stop.
-  /// The permutation is still valid (unplaced vertices keep relative order
-  /// at the tail) but is not the A-order optimum; callers re-check their
-  /// ExecContext and normally discard it.
+  /// True when packing or the within-bucket sort stopped early because
+  /// options.exec requested a stop. The permutation is still valid
+  /// (unplaced vertices keep relative order at the tail) but is not the
+  /// A-order optimum; callers re-check their ExecContext and normally
+  /// discard it.
   bool aborted = false;
 };
 
